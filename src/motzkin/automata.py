@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .oracle import CountTable
 from .series import Poly, Series
@@ -174,27 +174,21 @@ def run(spec: AutomatonSpec, word: PathWord | str) -> RunResult:
     return RunResult(True, state, sig, tau)
 
 
-def dp_count(n_max: int, variant: Variant) -> CountTable:
-    """Count walks of each (length, end level, #UD, #DU) with the automaton.
+def _sweep(
+    variant: Variant, n_max: int
+) -> Iterator[tuple[int, dict[tuple[State, int, int], int]]]:
+    """Yield (n, frontier) for n = 0..n_max.
 
-    Walks of length n never exceed level n, so the level cap n_max makes the
-    table exact.  The recursion iterates over the explicit transition list;
-    the step deltas and weights are never re-derived here.
+    The frontier maps (state, #UD, #DU) to the number of walks of length n
+    that end there.  Walks of length n never exceed level n, so the level
+    cap n_max makes every frontier exact.  The recursion iterates over the
+    explicit transition list; the step deltas and weights are never
+    re-derived here.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     spec = build_automaton(variant, n_max)
-    # frontier maps (state, ud, du) -> number of walks
-    frontier: dict[tuple[State, int, int], int] = {(spec.start, 0, 0): 1}
-    entries: dict[tuple[int, int, int, int], int] = {}
-
-    def record(n: int, front: dict) -> None:
-        for (state, ud, du), c in front.items():
-            key = (n, state[1], ud, du)
-            entries[key] = entries.get(key, 0) + c
-
     out = _outgoing(spec)
-    record(0, frontier)
+    frontier: dict[tuple[State, int, int], int] = {(spec.start, 0, 0): 1}
+    yield 0, frontier
     for n in range(1, n_max + 1):
         nxt: dict[tuple[State, int, int], int] = {}
         for (state, ud, du), c in frontier.items():
@@ -206,7 +200,18 @@ def dp_count(n_max: int, variant: Variant) -> CountTable:
                 )
                 nxt[key] = nxt.get(key, 0) + c
         frontier = nxt
-        record(n, frontier)
+        yield n, frontier
+
+
+def dp_count(n_max: int, variant: Variant) -> CountTable:
+    """Count walks of each (length, end level, #UD, #DU) with the automaton."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    entries: dict[tuple[int, int, int, int], int] = {}
+    for n, frontier in _sweep(variant, n_max):
+        for (state, ud, du), c in frontier.items():
+            key = (n, state[1], ud, du)
+            entries[key] = entries.get(key, 0) + c
     return CountTable(variant, n_max, entries)
 
 
@@ -233,31 +238,13 @@ def layer_series(
     """Per-layer generating functions (walks grouped by their final layer)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    spec = build_automaton(variant, order)
-    frontier: dict[tuple[State, int, int], int] = {(spec.start, 0, 0): 1}
-    buckets: dict[Layer, dict[int, list]] = {
-        layer: {n: [] for n in range(order + 1)} for layer in Layer
+    buckets: dict[Layer, list[list]] = {
+        layer: [[] for _ in range(order + 1)] for layer in Layer
     }
-
-    def record(n: int, front: dict) -> None:
-        for ((layer, level), ud, du), c in front.items():
+    for n, frontier in _sweep(variant, order):
+        for ((layer, level), ud, du), c in frontier.items():
             buckets[layer][n].append(((level, du, ud), c))
-
-    out = _outgoing(spec)
-    record(0, frontier)
-    for n in range(1, order + 1):
-        nxt: dict[tuple[State, int, int], int] = {}
-        for (state, ud, du), c in frontier.items():
-            for t in out.get(state, ()):
-                key = (
-                    t.dst,
-                    ud + (t.weight == WEIGHT_TAU),
-                    du + (t.weight == WEIGHT_SIGMA),
-                )
-                nxt[key] = nxt.get(key, 0) + c
-        frontier = nxt
-        record(n, frontier)
     return {
-        layer: Series([Poly(buckets[layer][n]) for n in range(order + 1)], order)
+        layer: Series([Poly(terms) for terms in buckets[layer]], order)
         for layer in Layer
     }

@@ -8,8 +8,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import urllib.error
@@ -22,20 +20,12 @@ from .automata import dp_count, dp_series
 from .oracle import (
     MAX_PATH_LEN,
     MAX_SEMIPERIMETER,
+    CountTable,
     count_table,
     enumerate_bargraphs,
     enumerate_paths,
 )
-from .paths import (
-    Bargraph,
-    PathClass,
-    PathWord,
-    Variant,
-    classify,
-    from_bargraph,
-    is_cornerless,
-    to_bargraph,
-)
+from .paths import Bargraph, PathWord, Variant, from_bargraph, to_bargraph
 from .series import closed_form, default_order
 
 OK = 0
@@ -249,41 +239,6 @@ def from_bargraph_or_empty(graph: Bargraph) -> PathWord:
     return from_bargraph(graph)
 
 
-def check_bargraph_tallies(max_semi: int) -> CheckResult:
-    """Per-semiperimeter image counts of the bijection against the
-    independent bargraph enumeration.
-
-    Every nonempty cornerless excursion with u up steps and h flat steps
-    maps to semiperimeter s = u + 1 + h and has length 2u + h; since such a
-    word with u >= 1 needs h >= 1, lengths up to 2s - 3 cover all of
-    semiperimeter s.
-    """
-    name = f"bargraph-tallies (s <= {max_semi})"
-    max_len = max(2 * max_semi - 3, max_semi - 1)
-    tallies: dict[int, int] = {}
-    for n in range(1, max_len + 1):
-        for word in enumerate_paths(
-            n, Variant.PLAIN,
-            forbid_ud=True, forbid_du=True, excursions_only=True,
-            allow_large=True,
-        ):
-            graph = to_bargraph(word)
-            s = graph.semiperimeter
-            if s <= max_semi:
-                tallies[s] = tallies.get(s, 0) + 1
-    compared = 0
-    for s in range(1, max_semi + 1):
-        expected = sum(1 for _ in enumerate_bargraphs(s))
-        compared += 1
-        got = tallies.get(s, 0)
-        if got != expected:
-            return CheckResult(
-                name, False, compared,
-                f"semiperimeter {s}: bijection image {got}, oracle {expected}",
-            )
-    return CheckResult(name, True, compared)
-
-
 def run_checks(variant: Variant, max_n: int) -> list[CheckResult]:
     results = [
         check_oracle_vs_dp(variant, max_n),
@@ -319,29 +274,18 @@ def _check_path_bound(n: int, unbounded: bool) -> None:
 def cmd_count(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
     _check_path_bound(args.n, args.unbounded)
-    table = dp_count(args.n, variant)
-    rows = [
-        (n, j, ud, du, c)
-        for (n, j, ud, du), c in sorted(table.entries.items())
-        if n == args.n and (args.end_level is None or j == args.end_level)
-    ]
+    full = dp_count(args.n, variant)
+    table = CountTable(variant, args.n, {
+        key: c for key, c in full.entries.items()
+        if key[0] == args.n and (args.end_level is None or key[1] == args.end_level)
+    })
     if args.format == "json":
-        print(json.dumps(
-            [
-                {"n": n, "j": j, "ud": ud, "du": du, "count": str(c)}
-                for n, j, ud, du, c in rows
-            ],
-            indent=2,
-        ))
+        print(table.to_json())
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "j", "ud", "du", "count"])
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(table.to_csv())
     else:
         print("n j ud du count")
-        for row in rows:
+        for row in table.rows():
             print(" ".join(str(x) for x in row))
     return OK
 
@@ -415,12 +359,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 def cmd_bargraph(args: argparse.Namespace) -> int:
     if args.path is not None:
-        word = PathWord.parse(args.path)
-        if classify(word, Variant.PLAIN) is not PathClass.EXCURSION:
-            raise ValueError(f"{args.path!r} is not a plain excursion")
-        if not is_cornerless(word):
-            raise ValueError(f"{args.path!r} is not cornerless (contains UD or DU)")
-        graph = to_bargraph(word)
+        graph = to_bargraph(PathWord.parse(args.path))
         print(f"columns: {graph}")
         print(f"semiperimeter: {graph.semiperimeter}")
     else:

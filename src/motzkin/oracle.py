@@ -3,8 +3,7 @@
 Everything here works directly from the word-level rules (steps, levels,
 forbidden adjacencies); none of it knows about the layered automata or the
 generating-function pipeline, so it can serve as an independent referee for
-both.  The only concession to speed is that the counting oracle dispatches to
-a compiled depth-first search implementing the same rules.
+both.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import _speedups
 from .paths import Bargraph, PathWord, Step, Variant
 
 MAX_PATH_LEN = 20
@@ -144,10 +142,32 @@ def enumerate_paths(
 def count_table(
     n_max: int, variant: Variant, *, allow_large: bool = False
 ) -> CountTable:
-    """Count all valid words of length <= n_max by brute-force search."""
+    """Count all valid words of length <= n_max by brute-force search.
+
+    A depth-first search visits every valid word once, applying the
+    word-level rules directly: the level stays nonnegative, and L appears
+    only in the skew variant and never next to U.  Steps are coded as
+    0=U, 1=D, 2=H, 3=L (-1 before the first step).
+    """
     _check_length(n_max, allow_large)
-    raw = _speedups.count_paths(n_max, variant is Variant.SKEW)
-    return CountTable(variant, n_max, raw)
+    skew = variant is Variant.SKEW
+    counts: dict[tuple[int, int, int, int], int] = {}
+
+    def visit(depth: int, level: int, last: int, ud: int, du: int) -> None:
+        key = (depth, level, ud, du)
+        counts[key] = counts.get(key, 0) + 1
+        if depth == n_max:
+            return
+        if not (skew and last == 3):
+            visit(depth + 1, level + 1, 0, ud, du + (last == 1))
+        if level > 0:
+            visit(depth + 1, level - 1, 1, ud + (last == 0), du)
+        visit(depth + 1, level, 2, ud, du)
+        if skew and level > 0 and last != 0:
+            visit(depth + 1, level - 1, 3, ud, du)
+
+    visit(0, 0, -1, 0, 0)
+    return CountTable(variant, n_max, counts)
 
 
 def enumerate_bargraphs(

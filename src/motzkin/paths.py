@@ -209,7 +209,7 @@ def to_bargraph(word: PathWord) -> Bargraph:
     if classify(word, Variant.PLAIN) is not PathClass.EXCURSION:
         raise ValueError(f"{str(word)!r} is not a plain excursion")
     if not is_cornerless(word):
-        raise ValueError(f"{str(word)!r} has a UD or DU factor")
+        raise ValueError(f"{str(word)!r} is not cornerless (contains UD or DU)")
     height = 1
     cols = []
     for s in word.steps:

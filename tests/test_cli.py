@@ -233,9 +233,17 @@ def test_bargraph_round_trip(capsys):
 
 
 def test_bargraph_rejects_peak(capsys):
-    rc, _, err = run(capsys, "bargraph", "--path", "UD")
+    # the word is echoed as parsed, in upper case
+    for text in ("UD", "ud"):
+        rc, _, err = run(capsys, "bargraph", "--path", text)
+        assert rc == 2
+        assert err == "error: 'UD' is not cornerless (contains UD or DU)\n"
+
+
+def test_bargraph_rejects_non_excursion(capsys):
+    rc, _, err = run(capsys, "bargraph", "--path", "UU")
     assert rc == 2
-    assert "not cornerless" in err
+    assert err == "error: 'UU' is not a plain excursion\n"
 
 
 def test_bargraph_rejects_bad_columns(capsys):

@@ -1,8 +1,11 @@
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from motzkin import oracle
 from motzkin.oracle import (
     MAX_PATH_LEN,
     MAX_SEMIPERIMETER,
@@ -123,9 +126,12 @@ def test_count_table_examples():
     assert table.count(4, 0, 0, 0) == 4
     assert table.count(4, 0, 1, 0) == 4
     assert table.count(4, 0, 2, 1) == 1
+    assert table.count(0, 0, 0, 0) == 1
+    assert table.total(4) == 35
     skew = count_table(2, Variant.SKEW)
     assert skew.count(2, 0, 0, 0) == 1
     assert skew.count(2, 0, 1, 0) == 1
+    assert count_table(4, Variant.SKEW).total(4) == 40
 
 
 def test_json_rows_round_trip():
@@ -180,3 +186,19 @@ def test_bargraph_bounds():
         list(enumerate_bargraphs(MAX_SEMIPERIMETER + 1))
     counts = sum(1 for _ in enumerate_bargraphs(4, allow_large=True))
     assert counts == 5
+
+
+def test_oracle_imports_only_paths():
+    # the oracle referees the automaton and the series engine, so it must
+    # not lean on either of them
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                package_imports.add(node.module)
+            else:
+                assert not node.module.startswith("motzkin")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("motzkin") for a in node.names)
+    assert package_imports == {"paths"}
