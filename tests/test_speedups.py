@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from motzkin import _speedups
+from motzkin.oracle import Variant, count_table
 
 
 def pack(eu, es, et):
@@ -66,3 +67,12 @@ def test_clean_terms():
     assert cleaned == {key: 2, key + 1: Fraction(1, 2)}
     assert type(cleaned[key]) is int
     assert type(cleaned[key + 1]) is Fraction
+
+
+def test_pure_count_paths_small_values():
+    # the brute-force path count lives in oracle.count_table
+    table = count_table(4, Variant.PLAIN)
+    assert table.count(0, 0, 0, 0) == 1
+    assert table.count(2, 0, 1, 0) == 1
+    assert table.total(4) == 35
+    assert count_table(4, Variant.SKEW).total(4) == 40
