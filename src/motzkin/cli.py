@@ -34,6 +34,10 @@ USAGE = 2
 
 CHECK_MAX_N = {Variant.PLAIN: 14, Variant.SKEW: 12}
 
+# `count` runs the DP, whose cost grows polynomially in n (skew n=60 takes
+# a few seconds), so it gets its own bound instead of the enumeration cap
+MAX_COUNT_LEN = 60
+
 OEIS_URL = "https://oeis.org/{id}/b{digits}.txt"
 OEIS_TIMEOUT = 10.0
 
@@ -262,18 +266,18 @@ def _parse_value(text: str, flag: str) -> Optional[Fraction]:
         raise ValueError(f"{flag} expects a rational number or 'sym', got {text!r}")
 
 
-def _check_path_bound(n: int, unbounded: bool) -> None:
+def _check_length_bound(n: int, bound: int, unbounded: bool) -> None:
     if n < 0:
         raise ValueError("--n must be nonnegative")
-    if n > MAX_PATH_LEN and not unbounded:
+    if n > bound and not unbounded:
         raise ValueError(
-            f"--n {n} exceeds the bound {MAX_PATH_LEN}; pass --unbounded to override"
+            f"--n {n} exceeds the bound {bound}; pass --unbounded to override"
         )
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
-    _check_path_bound(args.n, args.unbounded)
+    _check_length_bound(args.n, MAX_COUNT_LEN, args.unbounded)
     full = dp_count(args.n, variant)
     table = CountTable(variant, args.n, {
         key: c for key, c in full.entries.items()
@@ -342,7 +346,7 @@ _CLASS_FILTERS = {
 
 def cmd_paths(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
-    _check_path_bound(args.n, args.unbounded)
+    _check_length_bound(args.n, MAX_PATH_LEN, args.unbounded)
     filters = _CLASS_FILTERS[args.path_class]
     words = sorted(
         str(word)
@@ -471,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end-level", type=int, default=None)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--unbounded", action="store_true",
-                   help=f"allow --n beyond {MAX_PATH_LEN}")
+                   help=f"allow --n beyond {MAX_COUNT_LEN}")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("series", help="truncated generating function")

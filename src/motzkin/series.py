@@ -7,12 +7,14 @@ power of z, each carrying a truncation order; arithmetic results carry the
 minimum order of the operands.  All arithmetic is exact (ints and Fractions,
 never floats).
 
-The second half of the module is the generating-function pipeline: the
-discriminant square root W, the power-series root r2 of the kernel quadratic
-(and z*r1 for its companion root), boundary values at u=0 obtained by an
-exact linear solve, and the assembled closed forms for walks grouped by the
-layer their last step put them in (F after an up step, G after a horizontal
-step or at the start, H after a down step, K after a left-down step).
+The second half of the module is the generating-function pipeline, in
+integers throughout: the power-series root r2 = z*rho of the kernel
+quadratic, with rho taken coefficient by coefficient from its own quadratic
+(z*r1 for the companion root and W = P - 2*z*r2 follow by subtraction), the
+boundary values at u=0 from one division by a series with constant term 1,
+and the assembled closed forms for walks grouped by the layer their last
+step put them in (F after an up step, G after a horizontal step or at the
+start, H after a down step, K after a left-down step).
 """
 
 from __future__ import annotations
@@ -529,10 +531,17 @@ def specialize(
 # Grouping length-counted walks by the layer of their last step gives linear
 # recurrences whose generating function F+G+H(+K) satisfies a quadratic in a
 # catalytic variable u.  Writing the quadratic as z*u^2 - P*u + Q, the
-# discriminant is W^2 = P^2 - 4*z*Q and the power-series root is
-# r2 = (P - W)/(2z); the companion root r1 has a 1/z pole, so z*r1 =
-# (P + W)/2 is the object that appears in denominators (its constant term
-# is 1, making z*u - z*r1 invertible as a series).
+# discriminant is W^2 = P^2 - 4*z*Q = radicand, and Q/z works out to 1
+# (plain) or 2 - s*t*z^2 (skew).  The power-series root r2 = (P - W)/(2z) is
+# divisible by z, and rho = r2/z solves
+#     z^2*rho^2 - P*rho + Q/z = 0.
+# P has constant term 1, so comparing coefficients of z^n gives rho one
+# coefficient at a time with integer arithmetic only:
+#     rho[n] = (Q/z)[n] + sum_{i+j=n-2} rho[i]*rho[j] - sum_{k=1..n} P[k]*rho[n-k]
+# (Prodinger, "The kernel method: a collection of examples", 2004).  The
+# companion root r1 has a 1/z pole; z*r1 = P - z*r2 is the object that
+# appears in denominators (constant term 1, so z*u - z*r1 is invertible as a
+# series), and W = P - 2*z*r2.  W^2 = radicand is kept as a test identity.
 
 _PLAIN_CUBIC_TAIL = (
     (2, 0, 0, 0, 1),
@@ -604,30 +613,48 @@ def kernel_sum(variant: Variant, order: int) -> Series:
     return Series.from_terms(order, _SKEW_KERNEL_SUM_TERMS)
 
 
+# Q/z, the constant coefficient of the kernel quadratic in rho
+_KERNEL_Q_OVER_Z_TERMS = {
+    Variant.PLAIN: ((0, 0, 0, 0, 1),),
+    Variant.SKEW: ((0, 0, 0, 0, 2), (2, 0, 1, 1, -1)),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _kernel_parts(variant: Variant, order: int) -> tuple[Series, Series, Series]:
-    # one extra order so that (P - W)/(2z) is exact at the requested order
-    ext = order + 1
-    w_ext = kernel_radicand(variant, ext).sqrt()
-    p_ext = kernel_sum(variant, ext)
-    r2 = (p_ext - w_ext).shift_down(1).scale(Fraction(1, 2))
-    zr1 = (p_ext + w_ext).scale(Fraction(1, 2)).prefix(order)
-    return w_ext.prefix(order), r2, zr1
+def _kernel_rho(variant: Variant, order: int) -> Series:
+    # rho = r2/z by the coefficient recurrence above
+    p = kernel_sum(variant, order).coefficients()
+    q = Series.from_terms(order, _KERNEL_Q_OVER_Z_TERMS[variant]).coefficients()
+    rho: list[Poly] = []
+    for n in range(order + 1):
+        acc = dict(q[n]._terms)
+        for i in range(n - 1):
+            _speedups.poly_acc(acc, rho[i]._terms, rho[n - 2 - i]._terms)
+        for k in range(1, n + 1):
+            tp = p[k]._terms
+            if tp:
+                _speedups.poly_acc(acc, tp, rho[n - k]._terms, True)
+        rho.append(Poly._raw(_speedups.clean_terms(acc)))
+    return Series(tuple(rho), order)
+
+
+def _z2_rho(variant: Variant, order: int) -> Series:
+    return _kernel_rho(variant, order).shift_up(2).prefix(order)
 
 
 def kernel_w(variant: Variant, order: int) -> Series:
-    """The square root W of the discriminant, with constant term +1."""
-    return _kernel_parts(variant, order)[0]
+    """The square root W of the discriminant: P - 2*z*r2, constant term +1."""
+    return kernel_sum(variant, order) - _z2_rho(variant, order).scale(2)
 
 
 def kernel_r2(variant: Variant, order: int) -> Series:
-    """The kernel root that is a power series: (P - W)/(2z)."""
-    return _kernel_parts(variant, order)[1]
+    """The kernel root that is a power series: (P - W)/(2z) = z*rho."""
+    return _kernel_rho(variant, order).shift_up(1).prefix(order)
 
 
 def kernel_zr1(variant: Variant, order: int) -> Series:
-    """z times the companion root: (P + W)/2, constant term 1."""
-    return _kernel_parts(variant, order)[2]
+    """z times the companion root: P - z*r2 = (P + W)/2, constant term 1."""
+    return kernel_sum(variant, order) - _z2_rho(variant, order)
 
 
 @dataclass(frozen=True)
@@ -641,88 +668,46 @@ class BoundaryValues:
     k0: Optional[Series]
 
 
-def _solve_series_system(
-    matrix: list[list[Series]], rhs: list[Series]
-) -> list[Series]:
-    """Gauss-Jordan over the series ring; every pivot must be a unit."""
-    n = len(rhs)
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = rows[col][col]
-        const = pivot._coeffs[0].as_constant()
-        if const is None or const == 0:
-            raise ValueError(
-                "boundary system is singular at this truncation order: pivot "
-                f"constant term {pivot._coeffs[0]}"
-            )
-        rows[col] = [entry / pivot for entry in rows[col]]
-        for i in range(n):
-            if i == col:
-                continue
-            factor = rows[i][col]
-            if factor.is_zero():
-                continue
-            rows[i] = [
-                entry - factor * other for entry, other in zip(rows[i], rows[col])
-            ]
-    return [rows[i][n] for i in range(n)]
-
-
 @functools.lru_cache(maxsize=None)
 def boundary_values(variant: Variant, order: int) -> BoundaryValues:
-    """Solve the linear system pinning down the u=0 layer values.
+    """The u=0 layer values, from one division by a series with constant term 1.
 
-    Setting u=0 in the closed forms and using that the power-series root r2
-    kills the kernel turns the divided closed forms into linear equations for
-    G(0), H(0) (and K(0) in the skew variant) over the series ring.
+    The u=0 total C0 = G(0)+H(0)(+K(0)) solves
+        C0 * (z*r1 - z^2*D) = N,   the left factor having constant term 1,
+        plain: N = 1 - z^2*(1-s)*(1-t),      D = 1 - s
+        skew:  N = 1 - z*r2 + t*z^2*(1-s),   D = 2 + 2z - s*z.
+    In the plain variant this is the u=0 instance of the divided closed form
+    of F+G+H (F(0) = 0).  In the skew variant it is the relation forced by
+    substituting r2 for u in the quadratic for the grand total, multiplied by
+    -z/r2 and simplified with r1*r2 = Q/z = 2 - s*t*z^2.  Then the level-0
+    layer recursion gives G(0) = 1 + z*C0; in the skew variant the u=0
+    instance of the K closed form gives z*r1*K(0) = z^2*(C0 - 1) (pivot 1);
+    H(0) is what remains of C0.
     """
     zr1 = kernel_zr1(variant, order)
-    if variant is Variant.PLAIN:
-        r2 = kernel_r2(variant, order)
-        # z^3*(s - 1) couples G(0) and H(0) in the G equation
-        coupler = Series.from_terms(order, [(3, 0, 1, 0, 1), (3, 0, 0, 0, -1)])
-        z2 = Series.from_terms(order, [(2, 0, 0, 0, 1)])
-        a11 = -zr1 - coupler
-        a12 = -coupler
-        b1 = r2.shift_up(1) + Series.from_terms(
-            order, [(2, 0, 1, 1, 1), (2, 0, 0, 0, -1), (0, 0, 0, 0, -1)]
-        )
-        a21 = z2
-        a22 = -zr1 + z2
-        b2 = Series.from_terms(order, [(2, 0, 0, 0, 1), (2, 0, 0, 1, -1)])
-        g0, h0 = _solve_series_system([[a11, a12], [a21, a22]], [b1, b2])
-        return BoundaryValues(variant, order, g0, h0, None)
-    # Skew.  In (G0, H0, K0) coordinates every available equation multiplies
-    # H0 by z, so the system determinant has no constant term and plain
-    # elimination stalls.  Changing coordinates to C0 = G0+H0+K0 makes the
-    # system triangular with unit pivots:
-    #   1. C0 from the kernel-vanishing remainder: substituting the series
-    #      root r2 into the quadratic for the grand total forces
-    #      C0*(-2 + s*t*z^2 + r2*(2z + 2z^2 - s*z^2))
-    #        = (r2/z)*(z*r2 - 1 + s*t*z^2 - t*z^2)        (pivot -2)
-    #   2. G0 = 1 + z*C0, the level-0 layer recursion
-    #   3. K0 from the u=0 instance of the K closed form:
-    #      z*r1*K0 = z^2*(C0 - 1)                         (pivot 1)
-    #   4. H0 = C0 - G0 - K0
-    ext = order + 1
-    r2e = kernel_r2(variant, ext)
-    r2_over_z = r2e.shift_down(1)
     one = Series.one(order)
-    bracket = (
-        r2e.shift_up(1).prefix(order)
-        - one
-        + Series.from_terms(order, [(2, 0, 1, 1, 1), (2, 0, 0, 1, -1)])
-    )
-    pivot = Series.from_terms(
-        order, [(0, 0, 0, 0, -2), (2, 0, 1, 1, 1)]
-    ) + r2e.prefix(order) * Series.from_terms(
-        order, [(1, 0, 0, 0, 2), (2, 0, 0, 0, 2), (2, 0, 1, 0, -1)]
-    )
-    c0 = (r2_over_z * bracket) / pivot
+    if variant is Variant.PLAIN:
+        num = Series.from_terms(
+            order,
+            [(0, 0, 0, 0, 1), (2, 0, 0, 0, -1), (2, 0, 1, 0, 1), (2, 0, 0, 1, 1),
+             (2, 0, 1, 1, -1)],
+        )
+        z2d = Series.from_terms(order, [(2, 0, 0, 0, 1), (2, 0, 1, 0, -1)])
+    else:
+        num = (
+            one
+            - kernel_r2(variant, order).shift_up(1).prefix(order)
+            + Series.from_terms(order, [(2, 0, 0, 1, 1), (2, 0, 1, 1, -1)])
+        )
+        z2d = Series.from_terms(
+            order, [(2, 0, 0, 0, 2), (3, 0, 0, 0, 2), (3, 0, 1, 0, -1)]
+        )
+    c0 = num / (zr1 - z2d)
     g0 = one + c0.shift_up(1).prefix(order)
+    if variant is Variant.PLAIN:
+        return BoundaryValues(variant, order, g0, c0 - g0, None)
     k0 = (c0 - one).shift_up(2).prefix(order) / zr1
-    h0 = c0 - g0 - k0
-    return BoundaryValues(variant, order, g0, h0, k0)
+    return BoundaryValues(variant, order, g0, c0 - g0 - k0, k0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,11 @@ from motzkin.paths import (
 from motzkin.series import (
     Poly,
     Series,
+    boundary_values,
     closed_form,
+    kernel_r2,
+    kernel_w,
+    kernel_zr1,
     plain_printed_boundary_identities,
 )
 
@@ -205,10 +209,10 @@ def test_criterion_1_oracle_vs_dp():
         assert len(oracle.entries) > 0
 
 
-@criterion(2, "DP equals closed form symbolically (plain z^20, skew z^16)")
+@criterion(2, "DP equals closed form symbolically (plain and skew z^30)")
 def test_criterion_2_dp_vs_closed_form():
-    for variant, order in ((Variant.PLAIN, 20), (Variant.SKEW, 16)):
-        assert dp_series(order, variant) == closed_form(variant, order).total
+    for variant in Variant:
+        assert dp_series(30, variant) == closed_form(variant, 30).total
 
 
 @criterion(3, "plain trivariate display and its u=0 / u=1 displays to z^7")
@@ -336,7 +340,18 @@ def test_criterion_8_engine_soundness():
         assert root * root == a
 
     for variant in Variant:
-        total = closed_form(variant, 24).total
-        for n in range(25):
-            for _, value in total.coefficient(n).terms():
-                assert isinstance(value, int), (variant, n)
+        bnd = boundary_values(variant, 24)
+        pipeline = [
+            closed_form(variant, 24).total,
+            kernel_r2(variant, 24),
+            kernel_zr1(variant, 24),
+            kernel_w(variant, 24),
+            bnd.g0,
+            bnd.h0,
+        ]
+        if bnd.k0 is not None:
+            pipeline.append(bnd.k0)
+        for index, series in enumerate(pipeline):
+            for n in range(25):
+                for _, value in series.coefficient(n).terms():
+                    assert isinstance(value, int), (variant, index, n)

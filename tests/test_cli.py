@@ -9,7 +9,8 @@ from motzkin.cli import (
     anchors_for,
     main,
 )
-from motzkin.series import Series
+from motzkin.paths import Variant
+from motzkin.series import Series, closed_form
 
 MOTZKIN_12 = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798]
 
@@ -70,9 +71,25 @@ def test_count_csv(capsys):
 
 
 def test_count_bad_n(capsys):
-    rc, _, err = run(capsys, "count", "--variant", "plain", "--n", "21")
+    rc, _, err = run(capsys, "count", "--variant", "plain", "--n", "61")
     assert rc == 2
-    assert "error" in err
+    assert err == "error: --n 61 exceeds the bound 60; pass --unbounded to override\n"
+    rc, _, err = run(capsys, "count", "--variant", "plain", "--n", "-1")
+    assert rc == 2
+    assert err == "error: --n must be nonnegative\n"
+
+
+def test_count_beyond_the_enumeration_bound(capsys):
+    # count runs the DP, so the enumeration cap of `paths` does not apply
+    for variant in Variant:
+        rc, out, _ = run(
+            capsys, "count", "--variant", variant.value, "--n", "25",
+            "--format", "csv",
+        )
+        assert rc == 0
+        total = sum(int(line.split(",")[-1]) for line in out.splitlines()[1:])
+        closed = closed_form(variant, 25).total.specialize(u=1, sigma=1, tau=1)
+        assert total == closed.coefficient(25).as_constant()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,106 @@
+"""Property tests on generated inputs.
+
+Examples are derandomized (a fixed stream per test) and no example database
+is kept, so every run checks the same cases.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motzkin.automata import Layer, build_automaton, run
+from motzkin.paths import (
+    Bargraph,
+    PathClass,
+    PathWord,
+    Variant,
+    classify,
+    from_bargraph,
+    pattern_stats,
+    to_bargraph,
+)
+from motzkin.series import Poly, Series
+
+derandomized = settings(
+    derandomize=True, database=None, deadline=None, max_examples=60
+)
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+polys = st.dictionaries(exponents, rationals, max_size=3).map(
+    lambda terms: Poly(list(terms.items()))
+)
+
+
+@st.composite
+def series(draw):
+    order = draw(st.integers(0, 5))
+    return Series(draw(st.lists(polys, min_size=order + 1, max_size=order + 1)))
+
+
+values = st.none() | rationals
+
+
+@derandomized
+@given(series(), series(), values, values, values)
+def test_specialize_is_a_ring_homomorphism(a, b, u, sigma, tau):
+    def spec(x):
+        return x.specialize(u=u, sigma=sigma, tau=tau)
+
+    assert spec(a + b) == spec(a) + spec(b)
+    assert spec(a * b) == spec(a) * spec(b)
+
+
+@derandomized
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+def test_bargraph_round_trip(columns):
+    graph = Bargraph(tuple(columns))
+    word = from_bargraph(graph)
+    assert to_bargraph(word) == graph
+    assert from_bargraph(to_bargraph(word)) == word
+
+
+_LAYER_AFTER = {
+    "U": Layer.AFTER_U,
+    "H": Layer.AFTER_H,
+    "D": Layer.AFTER_D,
+    "L": Layer.AFTER_L,
+}
+
+
+def _meander(alphabet, choices):
+    # each choice picks one of the steps a skew meander may take next, so
+    # long valid words are common; over "UDH" they are plain meanders too
+    level, prev, out = 0, "", []
+    for choice in choices:
+        allowed = [
+            s for s in alphabet
+            if not (level == 0 and s in "DL") and prev + s not in ("UL", "LU")
+        ]
+        prev = allowed[choice % len(allowed)]
+        level += {"U": 1, "H": 0}.get(prev, -1)
+        out.append(prev)
+    return "".join(out)
+
+
+words = st.text("UDHL", max_size=24) | st.builds(
+    _meander,
+    st.sampled_from(["UDH", "UDHL"]),
+    st.lists(st.integers(0, 3), max_size=24),
+)
+
+
+@derandomized
+@given(st.sampled_from(list(Variant)), words)
+def test_run_agrees_with_classify(variant, text):
+    # a level cap of len(text) never rejects a word for climbing too high
+    res = run(build_automaton(variant, len(text)), text)
+    word = PathWord.parse(text)
+    valid = classify(word, variant) is not PathClass.INVALID
+    assert res.accepted == valid
+    if valid:
+        layer = _LAYER_AFTER[text[-1]] if text else Layer.AFTER_H
+        assert res.end == (layer, word.end_level)
+        stats = pattern_stats(word)
+        assert (res.sigma_exp, res.tau_exp) == (stats.du, stats.ud)

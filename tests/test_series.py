@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from motzkin import series as series_module
 from motzkin.paths import Variant
 from motzkin.series import (
     Poly,
@@ -329,19 +330,32 @@ def test_skew_radicand_cornerless_specialization():
 
 def test_kernel_roots_recombine():
     for variant in Variant:
-        w = kernel_w(variant, 20)
+        w = kernel_w(variant, 30)
         assert w.coefficient(0) == Poly.one()
-        assert w * w == kernel_radicand(variant, 20)
-        zr2 = kernel_r2(variant, 19).shift_up(1)
-        zr1 = kernel_zr1(variant, 20)
-        assert zr1 + zr2 == kernel_sum(variant, 20)
+        assert w * w == kernel_radicand(variant, 30)
+        zr2 = kernel_r2(variant, 29).shift_up(1)
+        zr1 = kernel_zr1(variant, 30)
+        assert zr1 + zr2 == kernel_sum(variant, 30)
         if variant is Variant.PLAIN:
-            product = Series.from_terms(20, [(2, 0, 0, 0, 1)])
+            product = Series.from_terms(30, [(2, 0, 0, 0, 1)])
         else:
             product = Series.from_terms(
-                20, [(2, 0, 0, 0, 2), (4, 0, 1, 1, -1)]
+                30, [(2, 0, 0, 0, 2), (4, 0, 1, 1, -1)]
             )
         assert zr1 * zr2 == product
+
+
+def test_closed_form_takes_no_square_root(monkeypatch):
+    def no_sqrt(self):
+        raise AssertionError("the closed-form route took a series square root")
+
+    monkeypatch.setattr(Series, "sqrt", no_sqrt)
+    # drop every cached kernel, boundary and closed-form result
+    for value in vars(series_module).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    for variant in Variant:
+        assert closed_form(variant, 12).total.coefficient(0) == Poly.one()
 
 
 def test_kernel_w_specializes_to_trinomial_root():
