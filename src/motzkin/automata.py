@@ -10,7 +10,10 @@ exponent counts UD factors.
 
 The dynamic programming here runs directly on the transition tables, so it
 is an implementation independent from both the brute-force oracle and the
-closed-form series pipeline.
+closed-form series pipeline.  A numeric sigma, tau or u goes into the sweep
+instead of its exponent: the counts are multiplied by the value, the
+#DU/#UD (or level) index collapses, and the result is the symbolic series
+with that value substituted, computed on far fewer entries.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .oracle import CountTable
-from .series import Poly, Series
+from .series import Poly, Rat, Series, require_exact
 from .paths import PathWord, Variant
 
 
@@ -137,13 +140,6 @@ def build_automaton(variant: Variant, level_cap: int) -> AutomatonSpec:
     return AutomatonSpec(variant, level_cap, tuple(ts))
 
 
-def _outgoing(spec: AutomatonSpec) -> dict[State, list[Transition]]:
-    out: dict[State, list[Transition]] = {}
-    for t in spec.transitions:
-        out.setdefault(t.src, []).append(t)
-    return out
-
-
 @dataclass(frozen=True)
 class RunResult:
     accepted: bool
@@ -175,31 +171,46 @@ def run(spec: AutomatonSpec, word: PathWord | str) -> RunResult:
 
 
 def _sweep(
-    variant: Variant, n_max: int
-) -> Iterator[tuple[int, dict[tuple[State, int, int], int]]]:
+    variant: Variant,
+    n_max: int,
+    sigma: Optional[Rat] = None,
+    tau: Optional[Rat] = None,
+) -> Iterator[tuple[int, dict[tuple[State, int, int], Rat]]]:
     """Yield (n, frontier) for n = 0..n_max.
 
-    The frontier maps (state, #UD, #DU) to the number of walks of length n
-    that end there.  Walks of length n never exceed level n, so the level
-    cap n_max makes every frontier exact.  The recursion iterates over the
-    explicit transition list; the step deltas and weights are never
-    re-derived here.
+    The frontier maps (state, #UD, #DU) to the weighted number of walks of
+    length n that end there.  A weight left as None is counted by its index
+    (#UD for tau, #DU for sigma); a numeric weight multiplies the count
+    instead and leaves its index at 0.  Zero counts, which only a negative
+    weight can leave by cancellation, are dropped.  Walks of length n never
+    exceed level n, so the level cap n_max makes every frontier exact.  The
+    recursion iterates over the explicit transition list; the step deltas
+    and weights are never re-derived here.
     """
+    require_exact(sigma)
+    require_exact(tau)
+    # (d_ud, d_du, multiplier) of a transition, by its weight
+    effect = {
+        WEIGHT_ONE: (0, 0, 1),
+        WEIGHT_TAU: (1, 0, 1) if tau is None else (0, 0, tau),
+        WEIGHT_SIGMA: (0, 1, 1) if sigma is None else (0, 0, sigma),
+    }
+    cancels = any(mult < 0 for _, _, mult in effect.values())
     spec = build_automaton(variant, n_max)
-    out = _outgoing(spec)
-    frontier: dict[tuple[State, int, int], int] = {(spec.start, 0, 0): 1}
+    moves: dict[State, list[tuple[State, int, int, Rat]]] = {}
+    for t in spec.transitions:
+        d_ud, d_du, mult = effect[t.weight]
+        if mult:
+            moves.setdefault(t.src, []).append((t.dst, d_ud, d_du, mult))
+    frontier: dict[tuple[State, int, int], Rat] = {(spec.start, 0, 0): 1}
     yield 0, frontier
     for n in range(1, n_max + 1):
-        nxt: dict[tuple[State, int, int], int] = {}
+        nxt: dict[tuple[State, int, int], Rat] = {}
         for (state, ud, du), c in frontier.items():
-            for t in out.get(state, ()):
-                key = (
-                    t.dst,
-                    ud + (t.weight == WEIGHT_TAU),
-                    du + (t.weight == WEIGHT_SIGMA),
-                )
-                nxt[key] = nxt.get(key, 0) + c
-        frontier = nxt
+            for dst, d_ud, d_du, mult in moves.get(state, ()):
+                key = (dst, ud + d_ud, du + d_du)
+                nxt[key] = nxt.get(key, 0) + c * mult
+        frontier = {key: c for key, c in nxt.items() if c} if cancels else nxt
         yield n, frontier
 
 
@@ -215,20 +226,33 @@ def dp_count(n_max: int, variant: Variant) -> CountTable:
     return CountTable(variant, n_max, entries)
 
 
-def dp_series(order: int, variant: Variant) -> Series:
+def dp_series(
+    order: int,
+    variant: Variant,
+    u: Optional[Rat] = None,
+    sigma: Optional[Rat] = None,
+    tau: Optional[Rat] = None,
+) -> Series:
     """The full generating function, as a series to the given order.
 
     The z-degree-n coefficient is the polynomial summing u^j sigma^du tau^ud
     over all valid length-n walks ending at level j with du DU factors and
-    ud UD factors.
+    ud UD factors.  Numeric u, sigma or tau (int or Fraction) are
+    substituted during the sweep: the result equals the symbolic series
+    specialized at them.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    table = dp_count(order, variant)
-    buckets: dict[int, list] = {n: [] for n in range(order + 1)}
-    for (n, j, ud, du), c in table.entries.items():
-        buckets[n].append(((j, du, ud), c))
-    coeffs = [Poly(buckets[n]) for n in range(order + 1)]
+    require_exact(u)
+    powers = None if u is None else [u**j for j in range(order + 1)]
+    coeffs = []
+    for _, frontier in _sweep(variant, order, sigma, tau):
+        if powers is None:
+            terms = [((j, du, ud), c) for ((_, j), ud, du), c in frontier.items()]
+        else:
+            terms = [((0, du, ud), c * powers[j])
+                     for ((_, j), ud, du), c in frontier.items()]
+        coeffs.append(Poly(terms))
     return Series(coeffs, order)
 
 

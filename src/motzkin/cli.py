@@ -108,8 +108,8 @@ def anchors_for(id: str) -> list[OeisAnchor]:
 
 def anchor_computed_terms(anchor: OeisAnchor, count: int) -> list[int]:
     """The first ``count`` terms of the anchor's specialized series."""
-    series = dp_series(count - 1, anchor.variant).specialize(
-        u=anchor.u, sigma=anchor.sigma, tau=anchor.tau
+    series = dp_series(
+        count - 1, anchor.variant, u=anchor.u, sigma=anchor.sigma, tau=anchor.tau
     )
     values = []
     for n in range(count):
@@ -304,11 +304,13 @@ def cmd_series(args: argparse.Namespace) -> int:
     tau = _parse_value(args.tau, "--tau")
 
     def compute(engine: str):
+        # numeric values go into the engines; the closed form keeps u
+        # symbolic (its skew H divides by u), so u is substituted last
         if engine == "dp":
-            series = dp_series(order, variant)
+            series = dp_series(order, variant, u, sigma, tau)
         else:
-            series = closed_form(variant, order).total.prefix(order)
-        return series.specialize(u=u, sigma=sigma, tau=tau)
+            series = closed_form(variant, order, sigma, tau).total.prefix(order)
+        return series.specialize(u=u)
 
     if args.engine == "both":
         dp = compute("dp")

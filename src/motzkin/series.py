@@ -5,16 +5,21 @@ of a walk, s the number of DU factors (valleys) and t the number of UD
 factors (peaks).  Series are dense lists of such polynomials indexed by the
 power of z, each carrying a truncation order; arithmetic results carry the
 minimum order of the operands.  All arithmetic is exact (ints and Fractions,
-never floats).
+never floats); a value that is neither an int nor a Fraction is refused
+with TypeError wherever one is substituted.
 
-The second half of the module is the generating-function pipeline, in
-integers throughout: the power-series root r2 = z*rho of the kernel
-quadratic, with rho taken coefficient by coefficient from its own quadratic
-(z*r1 for the companion root and W = P - 2*z*r2 follow by subtraction), the
-boundary values at u=0 from one division by a series with constant term 1,
-and the assembled closed forms for walks grouped by the layer their last
-step put them in (F after an up step, G after a horizontal step or at the
-start, H after a down step, K after a left-down step).
+The second half of the module is the generating-function pipeline: the
+power-series root r2 = z*rho of the kernel quadratic, with rho taken
+coefficient by coefficient from its own quadratic (z*r1 for the companion
+root and W = P - 2*z*r2 follow by subtraction), the boundary values at u=0
+from one division by a series with constant term 1, and the assembled
+closed forms for walks grouped by the layer their last step put them in (F
+after an up step, G after a horizontal step or at the start, H after a down
+step, K after a left-down step).  Symbolically it runs in integers
+throughout.  Numeric sigma and tau go in before the work: they are
+substituted into the constants the pipeline starts from, so it runs on
+polynomials in fewer variables and gives the full result specialized (see
+the kernel pipeline comment for why).
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ from .paths import Variant
 Rat = Union[int, Fraction]
 
 DEFAULT_ORDER = 24
+
+# entries kept by each of the kernel, boundary and closed-form caches.  A
+# key is (variant, order, sigma, tau), typed so that a float never shares
+# the entry of an equal int and slips past the exactness check.
+CACHE_SIZE = 32
 
 # exponent triples (e_u, e_s, e_t) are packed into one int so that monomial
 # products become integer additions
@@ -70,6 +80,13 @@ def _canon(value: Rat) -> Rat:
     if isinstance(value, int):
         return value
     raise TypeError(f"coefficients must be int or Fraction, got {type(value)!r}")
+
+
+def require_exact(value: Optional[Rat]) -> None:
+    """Refuse a value to substitute unless it is None (keep the variable),
+    an int or a Fraction."""
+    if value is not None and not isinstance(value, (int, Fraction)):
+        raise TypeError(f"values must be int or Fraction, got {type(value)!r}")
 
 
 def _term_sort_key(exps: tuple[int, int, int]):
@@ -211,20 +228,19 @@ class Poly:
         tau: Optional[Rat] = None,
     ) -> "Poly":
         """Evaluate some of the variables at exact rational values."""
+        for value in (u, sigma, tau):
+            require_exact(value)
         if u is None and sigma is None and tau is None:
             return self
         acc: dict[int, Rat] = {}
         for key, value in self._terms.items():
             eu, es, et = _unpack(key)
-            if u is not None:
-                value = value * u**eu
-                eu = 0
-            if sigma is not None:
-                value = value * sigma**es
-                es = 0
-            if tau is not None:
-                value = value * tau**et
-                et = 0
+            if u is not None and eu:
+                value, eu = value * u**eu, 0
+            if sigma is not None and es:
+                value, es = value * sigma**es, 0
+            if tau is not None and et:
+                value, et = value * tau**et, 0
             new_key = _pack(eu, es, et)
             acc[new_key] = acc.get(new_key, 0) + value
         return Poly._raw(_speedups.clean_terms(acc))
@@ -393,7 +409,11 @@ class Series:
         return self.div(other)
 
     def div(self, other: "Series") -> "Series":
-        """Divide by a series whose constant term is a nonzero rational."""
+        """Divide by a series whose constant term is a nonzero rational.
+
+        Constant terms 1 and -1 need no scaling: for -1 the sign is taken
+        into the accumulation.
+        """
         if not isinstance(other, Series):
             raise TypeError("can only divide by another Series")
         const = other._coeffs[0].as_constant()
@@ -403,11 +423,13 @@ class Series:
                 f"{other._coeffs[0]}"
             )
         inv = 1 / const
+        flip = inv == -1
         order = min(self.order, other.order)
         b = other._coeffs
         quot: list[Poly] = []
         for n in range(order + 1):
-            acc = dict(self._coeffs[n]._terms)
+            ta = self._coeffs[n]._terms
+            acc = {k: -v for k, v in ta.items()} if flip else dict(ta)
             for k in range(n):
                 tq = quot[k]._terms
                 if not tq:
@@ -415,8 +437,9 @@ class Series:
                 tb = b[n - k]._terms
                 if not tb:
                     continue
-                _speedups.poly_acc(acc, tq, tb, True)
-            quot.append(Poly._raw(_speedups.clean_terms(acc)).scale(inv))
+                _speedups.poly_acc(acc, tq, tb, not flip)
+            q = Poly._raw(_speedups.clean_terms(acc))
+            quot.append(q if flip else q.scale(inv))
         return Series(tuple(quot), order)
 
     def sqrt(self) -> "Series":
@@ -542,6 +565,15 @@ def specialize(
 # companion root r1 has a 1/z pole; z*r1 = P - z*r2 is the object that
 # appears in denominators (constant term 1, so z*u - z*r1 is invertible as a
 # series), and W = P - 2*z*r2.  W^2 = radicand is kept as a test identity.
+#
+# Numeric sigma and tau are substituted into every constant the pipeline
+# builds (P, Q/z, the boundary and assembly terms, the sigma and tau
+# multipliers) before it runs.  Substituting is a ring homomorphism, and
+# every divisor on the way has constant term 1 or -1 whatever s and t are,
+# so each step, and hence the result, is the full symbolic one specialized
+# (Banderier & Flajolet, "Basic analytic combinatorics of directed lattice
+# paths", 2002).  u stays symbolic through assembly: the skew H divides F
+# by u, which a numeric u no longer allows; callers substitute it at the end.
 
 _PLAIN_CUBIC_TAIL = (
     (2, 0, 0, 0, 1),
@@ -594,9 +626,30 @@ _SKEW_KERNEL_SUM_TERMS = (
 )
 
 
-def _plain_cubic(z1_coeff: int, order: int) -> Series:
+def _terms_at(
+    order: int,
+    terms: Iterable[tuple[int, int, int, int, Rat]],
+    sigma: Optional[Rat],
+    tau: Optional[Rat],
+) -> Series:
+    """Series.from_terms after substituting the numeric ones of sigma, tau."""
+    require_exact(sigma)
+    require_exact(tau)
+    out = []
+    for zpow, eu, es, et, coeff in terms:
+        if sigma is not None:
+            coeff, es = coeff * sigma**es, 0
+        if tau is not None:
+            coeff, et = coeff * tau**et, 0
+        out.append((zpow, eu, es, et, coeff))
+    return Series.from_terms(order, out)
+
+
+def _plain_cubic(
+    z1_coeff: int, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
     terms = ((0, 0, 0, 0, 1), (1, 0, 0, 0, z1_coeff)) + _PLAIN_CUBIC_TAIL
-    return Series.from_terms(order, terms)
+    return _terms_at(order, terms, sigma, tau)
 
 
 def kernel_radicand(variant: Variant, order: int) -> Series:
@@ -606,11 +659,13 @@ def kernel_radicand(variant: Variant, order: int) -> Series:
     return Series.from_terms(order, _SKEW_RADICAND_TERMS)
 
 
-def kernel_sum(variant: Variant, order: int) -> Series:
+def kernel_sum(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
     """P = z*r1 + z*r2, the linear coefficient of the kernel quadratic."""
     if variant is Variant.PLAIN:
-        return _plain_cubic(-1, order)
-    return Series.from_terms(order, _SKEW_KERNEL_SUM_TERMS)
+        return _plain_cubic(-1, order, sigma, tau)
+    return _terms_at(order, _SKEW_KERNEL_SUM_TERMS, sigma, tau)
 
 
 # Q/z, the constant coefficient of the kernel quadratic in rho
@@ -620,11 +675,13 @@ _KERNEL_Q_OVER_Z_TERMS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_rho(variant: Variant, order: int) -> Series:
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _kernel_rho(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
     # rho = r2/z by the coefficient recurrence above
-    p = kernel_sum(variant, order).coefficients()
-    q = Series.from_terms(order, _KERNEL_Q_OVER_Z_TERMS[variant]).coefficients()
+    p = kernel_sum(variant, order, sigma, tau).coefficients()
+    q = _terms_at(order, _KERNEL_Q_OVER_Z_TERMS[variant], sigma, tau).coefficients()
     rho: list[Poly] = []
     for n in range(order + 1):
         acc = dict(q[n]._terms)
@@ -638,23 +695,30 @@ def _kernel_rho(variant: Variant, order: int) -> Series:
     return Series(tuple(rho), order)
 
 
-def _z2_rho(variant: Variant, order: int) -> Series:
-    return _kernel_rho(variant, order).shift_up(2).prefix(order)
+def _z2_rho(variant: Variant, order: int, sigma, tau) -> Series:
+    return _kernel_rho(variant, order, sigma, tau).shift_up(2).prefix(order)
 
 
-def kernel_w(variant: Variant, order: int) -> Series:
+def kernel_w(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
     """The square root W of the discriminant: P - 2*z*r2, constant term +1."""
-    return kernel_sum(variant, order) - _z2_rho(variant, order).scale(2)
+    z2_rho = _z2_rho(variant, order, sigma, tau)
+    return kernel_sum(variant, order, sigma, tau) - z2_rho.scale(2)
 
 
-def kernel_r2(variant: Variant, order: int) -> Series:
+def kernel_r2(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
     """The kernel root that is a power series: (P - W)/(2z) = z*rho."""
-    return _kernel_rho(variant, order).shift_up(1).prefix(order)
+    return _kernel_rho(variant, order, sigma, tau).shift_up(1).prefix(order)
 
 
-def kernel_zr1(variant: Variant, order: int) -> Series:
+def kernel_zr1(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
     """z times the companion root: P - z*r2 = (P + W)/2, constant term 1."""
-    return kernel_sum(variant, order) - _z2_rho(variant, order)
+    return kernel_sum(variant, order, sigma, tau) - _z2_rho(variant, order, sigma, tau)
 
 
 @dataclass(frozen=True)
@@ -668,8 +732,10 @@ class BoundaryValues:
     k0: Optional[Series]
 
 
-@functools.lru_cache(maxsize=None)
-def boundary_values(variant: Variant, order: int) -> BoundaryValues:
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def boundary_values(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> BoundaryValues:
     """The u=0 layer values, from one division by a series with constant term 1.
 
     The u=0 total C0 = G(0)+H(0)(+K(0)) solves
@@ -682,25 +748,27 @@ def boundary_values(variant: Variant, order: int) -> BoundaryValues:
     -z/r2 and simplified with r1*r2 = Q/z = 2 - s*t*z^2.  Then the level-0
     layer recursion gives G(0) = 1 + z*C0; in the skew variant the u=0
     instance of the K closed form gives z*r1*K(0) = z^2*(C0 - 1) (pivot 1);
-    H(0) is what remains of C0.
+    H(0) is what remains of C0.  Numeric sigma and tau are substituted
+    first, as in the whole pipeline.
     """
-    zr1 = kernel_zr1(variant, order)
+    zr1 = kernel_zr1(variant, order, sigma, tau)
     one = Series.one(order)
     if variant is Variant.PLAIN:
-        num = Series.from_terms(
+        num = _terms_at(
             order,
             [(0, 0, 0, 0, 1), (2, 0, 0, 0, -1), (2, 0, 1, 0, 1), (2, 0, 0, 1, 1),
              (2, 0, 1, 1, -1)],
+            sigma, tau,
         )
-        z2d = Series.from_terms(order, [(2, 0, 0, 0, 1), (2, 0, 1, 0, -1)])
+        z2d = _terms_at(order, [(2, 0, 0, 0, 1), (2, 0, 1, 0, -1)], sigma, tau)
     else:
         num = (
             one
-            - kernel_r2(variant, order).shift_up(1).prefix(order)
-            + Series.from_terms(order, [(2, 0, 0, 1, 1), (2, 0, 1, 1, -1)])
+            - kernel_r2(variant, order, sigma, tau).shift_up(1).prefix(order)
+            + _terms_at(order, [(2, 0, 0, 1, 1), (2, 0, 1, 1, -1)], sigma, tau)
         )
-        z2d = Series.from_terms(
-            order, [(2, 0, 0, 0, 2), (3, 0, 0, 0, 2), (3, 0, 1, 0, -1)]
+        z2d = _terms_at(
+            order, [(2, 0, 0, 0, 2), (3, 0, 0, 0, 2), (3, 0, 1, 0, -1)], sigma, tau
         )
     c0 = num / (zr1 - z2d)
     g0 = one + c0.shift_up(1).prefix(order)
@@ -728,27 +796,32 @@ class ClosedForm:
     total: Series
 
 
-@functools.lru_cache(maxsize=None)
-def closed_form(variant: Variant, order: int) -> ClosedForm:
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def closed_form(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> ClosedForm:
     """Assemble the layer generating functions from the kernel data.
 
     Every layer function is a numerator over the common denominator
     z*u - z*r1, whose constant term is -1, so the division is exact series
-    arithmetic with no radicals left over.
+    arithmetic with no radicals left over.  A numeric sigma or tau gives the
+    symbolic result with that value substituted; u stays symbolic.
     """
-    r2 = kernel_r2(variant, order)
-    zr1 = kernel_zr1(variant, order)
-    bnd = boundary_values(variant, order)
+    r2 = kernel_r2(variant, order, sigma, tau)
+    zr1 = kernel_zr1(variant, order, sigma, tau)
+    bnd = boundary_values(variant, order, sigma, tau)
+    sigma_poly = _SIGMA.substitute(sigma=sigma)
+    tau_poly = _TAU.substitute(tau=tau)
     u_series = Series.constant_poly(_U, order)
     z1 = Series.z(order)
-    z_sigma = Series.from_terms(order, [(1, 0, 1, 0, 1)])
+    z_sigma = _terms_at(order, [(1, 0, 1, 0, 1)], sigma, tau)
     one = Series.one(order)
-    tau_series = Series.constant_poly(_TAU, order)
+    tau_series = Series.constant_poly(tau_poly, order)
     denom = Series.from_terms(order, [(1, 1, 0, 0, 1)]) - zr1
 
     if variant is Variant.PLAIN:
         s0 = bnd.g0 + bnd.h0
-        s0_sigma = s0.mul_poly(_SIGMA)
+        s0_sigma = s0.mul_poly(sigma_poly)
         inner_f = (
             r2
             + u_series
@@ -763,9 +836,10 @@ def closed_form(variant: Variant, order: int) -> ClosedForm:
             r2.shift_up(1)
             + s0_sigma.shift_up(3)
             - s0.shift_up(3)
-            + Series.from_terms(
+            + _terms_at(
                 order,
                 [(2, 0, 1, 1, 1), (2, 0, 0, 0, -1), (0, 0, 0, 0, -1), (1, 1, 0, 0, 1)],
+                sigma, tau,
             )
         )
         num_h = -(bnd.h0 + tau_series - one + bnd.g0).shift_up(2)
@@ -775,7 +849,7 @@ def closed_form(variant: Variant, order: int) -> ClosedForm:
         return ClosedForm(variant, order, f, g, h, None, f + g + h)
 
     c0 = bnd.g0 + bnd.h0 + bnd.k0
-    c0_sigma = c0.mul_poly(_SIGMA)
+    c0_sigma = c0.mul_poly(sigma_poly)
     inner_f = (
         r2
         - bnd.k0.shift_up(2).scale(2)
@@ -790,10 +864,11 @@ def closed_form(variant: Variant, order: int) -> ClosedForm:
     num_f = -inner_f.shift_up(1)
     num_g = (
         r2.shift_up(1)
-        + c0.mul_poly(_SIGMA - Poly.constant(2)).shift_up(3)
-        + Series.from_terms(
+        + c0.mul_poly(sigma_poly - Poly.constant(2)).shift_up(3)
+        + _terms_at(
             order,
             [(2, 0, 1, 1, 1), (2, 0, 0, 0, -2), (0, 0, 0, 0, -1), (1, 1, 0, 0, 1)],
+            sigma, tau,
         )
     )
     num_k = -(c0 - one).shift_up(2)
@@ -802,7 +877,7 @@ def closed_form(variant: Variant, order: int) -> ClosedForm:
     k = num_k / denom
     # the layer recursion gives H = K + tau*z*F/u directly (F is divisible
     # by u: a walk ending with an up step sits at level >= 1)
-    h = k + f.div_u().shift_up(1).prefix(order).mul_poly(_TAU)
+    h = k + f.div_u().shift_up(1).prefix(order).mul_poly(tau_poly)
     return ClosedForm(variant, order, f, g, h, k, f + g + h + k)
 
 

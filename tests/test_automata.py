@@ -243,6 +243,15 @@ def test_dp_series_specialization_drops_marked_terms():
         assert peakless.coefficient(n) == expected
 
 
+def test_dp_refuses_inexact_values():
+    # a float once went through specialization into the coefficients
+    with pytest.raises(TypeError):
+        dp_series(3, Variant.PLAIN).specialize(u=0.5, sigma=1, tau=1)
+    for values in ({"u": 0.5}, {"sigma": 1.0}, {"tau": "1"}):
+        with pytest.raises(TypeError):
+            dp_series(3, Variant.PLAIN, **values)
+
+
 def test_build_automaton_rejects_bad_cap():
     with pytest.raises(ValueError):
         build_automaton(Variant.PLAIN, -1)

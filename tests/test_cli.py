@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -163,6 +164,19 @@ def test_series_json_round_trips(capsys):
     assert [
         int(total.coefficient(n).as_constant()) for n in range(6)
     ] == [1, 2, 5, 14, 40, 117]
+
+
+def test_series_rational_values_match_full_closed_form(capsys):
+    values = dict(u=Fraction(1, 2), sigma=Fraction(3, 2), tau=-1)
+    for variant in Variant:
+        expected = closed_form(variant, 12).total.specialize(**values).to_text()
+        for engine in ("closed", "dp"):
+            rc, out, _ = run(
+                capsys, "series", "--variant", variant.value, "--order", "12",
+                "--engine", engine, "--u", "1/2", "--sigma", "3/2", "--tau", "-1",
+            )
+            assert rc == 0
+            assert out == expected + "\n"
 
 
 def test_series_rejects_bad_value(capsys):

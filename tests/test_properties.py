@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motzkin.automata import Layer, build_automaton, run
+from motzkin.automata import Layer, build_automaton, dp_series, run
 from motzkin.paths import (
     Bargraph,
     PathClass,
@@ -50,6 +50,13 @@ def test_specialize_is_a_ring_homomorphism(a, b, u, sigma, tau):
 
     assert spec(a + b) == spec(a) + spec(b)
     assert spec(a * b) == spec(a) * spec(b)
+
+
+@derandomized
+@given(st.sampled_from(list(Variant)), st.integers(0, 8), values, values, values)
+def test_dp_series_with_values_is_the_specialized_series(variant, order, u, sigma, tau):
+    full = dp_series(order, variant).specialize(u=u, sigma=sigma, tau=tau)
+    assert dp_series(order, variant, u, sigma, tau) == full
 
 
 @derandomized

@@ -6,6 +6,7 @@ import pytest
 from motzkin import series as series_module
 from motzkin.paths import Variant
 from motzkin.series import (
+    CACHE_SIZE,
     Poly,
     Series,
     boundary_values,
@@ -212,7 +213,9 @@ def test_div_random_round_trip():
     for _ in range(30):
         a = random_series(rng, 7)
         b = random_series(rng, 7, unit=True)
-        assert (a * b) / b == a
+        # constant terms 1 and -1 skip the scaling, others take it
+        for c in (1, -1, Fraction(-3, 2)):
+            assert (a * b.scale(c)) / b.scale(c) == a
 
 
 def test_sqrt_frozen_prefix():
@@ -257,6 +260,21 @@ def test_specialize_examples():
     # method and function agree; None leaves a variable symbolic
     assert s.specialize(tau=0) == specialize(s, tau=0)
     assert s.specialize(tau=0).coefficient(2) == Poly.zero()
+
+
+def test_substitution_refuses_inexact_values():
+    p = poly({(1, 1, 1): 3})
+    for bad in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            p.substitute(u=bad)
+        with pytest.raises(TypeError):
+            Series.constant_poly(p, 2).specialize(sigma=bad)
+    # an equal exact value in the cache does not let a float through
+    closed_form(Variant.PLAIN, 3, 1)
+    with pytest.raises(TypeError):
+        closed_form(Variant.PLAIN, 3, 1.0)
+    with pytest.raises(TypeError):
+        closed_form(Variant.SKEW, 3, None, 0.5)
 
 
 def test_to_text_format():
@@ -407,6 +425,17 @@ def test_closed_form_structure():
         assert closed.total == parts
         assert closed.f.specialize(u=0).is_zero()
         assert closed.g.coefficient(0) == Poly.one()
+
+
+def test_pipeline_caches_are_bounded():
+    caches = (series_module._kernel_rho, boundary_values, closed_form)
+    for variant in Variant:
+        for sigma in range(CACHE_SIZE + 1):
+            closed_form(variant, 2, sigma)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
 
 
 def test_printed_boundary_identities_hold():
