@@ -189,7 +189,7 @@ def check_oracle_vs_dp(variant: Variant, max_n: int) -> CheckResult:
 def check_series_engines(variant: Variant, order: int) -> CheckResult:
     name = f"dp-vs-closed ({variant.value}, order {order})"
     dp = dp_series(order, variant)
-    closed = closed_form(variant, order).total.prefix(order)
+    closed = closed_form(variant, order).total
     for power in range(order + 1):
         a = dp.coefficient(power)
         b = closed.coefficient(power)
@@ -278,6 +278,8 @@ def _check_length_bound(n: int, bound: int, unbounded: bool) -> None:
 def cmd_count(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
     _check_length_bound(args.n, MAX_COUNT_LEN, args.unbounded)
+    if args.end_level is not None and args.end_level < 0:
+        raise ValueError("--end-level must be nonnegative")
     full = dp_count(args.n, variant)
     table = CountTable(variant, args.n, {
         key: c for key, c in full.entries.items()
@@ -304,12 +306,13 @@ def cmd_series(args: argparse.Namespace) -> int:
     tau = _parse_value(args.tau, "--tau")
 
     def compute(engine: str):
-        # numeric values go into the engines; the closed form keeps u
-        # symbolic (its skew H divides by u), so u is substituted last
+        # numeric values go into both engines; the final specialize changes
+        # nothing then, but every returned series passes through it, which
+        # is where the perfbench tracer counts the terms handed back
         if engine == "dp":
             series = dp_series(order, variant, u, sigma, tau)
         else:
-            series = closed_form(variant, order, sigma, tau).total.prefix(order)
+            series = closed_form(variant, order, sigma, tau, u).total
         return series.specialize(u=u)
 
     if args.engine == "both":

@@ -12,21 +12,24 @@ The second half of the module is the generating-function pipeline: the
 power-series root r2 = z*rho of the kernel quadratic, with rho taken
 coefficient by coefficient from its own quadratic (z*r1 for the companion
 root and W = P - 2*z*r2 follow by subtraction), the boundary values at u=0
-from one division by a series with constant term 1, and the assembled
-closed forms for walks grouped by the layer their last step put them in (F
-after an up step, G after a horizontal step or at the start, H after a down
-step, K after a left-down step).  Symbolically it runs in integers
-throughout.  Numeric sigma and tau go in before the work: they are
-substituted into the constants the pipeline starts from, so it runs on
-polynomials in fewer variables and gives the full result specialized (see
-the kernel pipeline comment for why).
+from one division by a series with constant term 1, and the grand total from
+one more division, by the kernel factor z*r1 - z*u.  The same formula serves
+both variants.  The layers of walks grouped by the layer their last step put
+them in (F after an up step, G after a horizontal step or at the start, H
+after a down step, K after a left-down step) follow from the total and are
+built only when read.  Symbolically it runs in integers throughout.  Numeric
+u, sigma and tau go in before the work: they are substituted into the
+constants the pipeline starts from, so it runs on polynomials in fewer
+variables and gives the full result specialized (see the kernel pipeline
+comment for the formula and why it holds).
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -38,8 +41,9 @@ Rat = Union[int, Fraction]
 DEFAULT_ORDER = 24
 
 # entries kept by each of the kernel, boundary and closed-form caches.  A
-# key is (variant, order, sigma, tau), typed so that a float never shares
-# the entry of an equal int and slips past the exactness check.
+# key is (variant, order, sigma, tau) (closed form: and u), typed so that a
+# float never shares the entry of an equal int and slips past the exactness
+# check.
 CACHE_SIZE = 32
 
 # exponent triples (e_u, e_s, e_t) are packed into one int so that monomial
@@ -209,18 +213,6 @@ class Poly:
             return self
         return Poly._raw({k: _canon(v * value) for k, v in self._terms.items()})
 
-    def divide_u(self, k: int = 1) -> "Poly":
-        """Divide by u^k; every term must have u-exponent >= k."""
-        out: dict[int, Rat] = {}
-        for key, value in self._terms.items():
-            eu, es, et = _unpack(key)
-            if eu < k:
-                raise ValueError(
-                    f"cannot divide {self} by u^{k}: term with u^{eu}"
-                )
-            out[_pack(eu - k, es, et)] = value
-        return Poly._raw(out)
-
     def substitute(
         self,
         u: Optional[Rat] = None,
@@ -278,11 +270,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-_U = Poly.monomial(1, eu=1)
-_SIGMA = Poly.monomial(1, es=1)
-_TAU = Poly.monomial(1, et=1)
 
 
 class Series:
@@ -460,10 +447,6 @@ class Series:
     def scale(self, value: Rat) -> "Series":
         return Series(tuple(p.scale(value) for p in self._coeffs), self.order)
 
-    def mul_poly(self, poly: Poly) -> "Series":
-        """Multiply every coefficient by a fixed polynomial."""
-        return Series(tuple(p * poly for p in self._coeffs), self.order)
-
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by z^k; the result is valid (and longer) by k orders."""
         if k < 0:
@@ -482,10 +465,6 @@ class Series:
                     f"cannot divide by z^{k}: nonzero coefficient at z^{n}"
                 )
         return Series(self._coeffs[k:], self.order - k)
-
-    def div_u(self, k: int = 1) -> "Series":
-        """Divide every coefficient by u^k (each must be divisible)."""
-        return Series(tuple(p.divide_u(k) for p in self._coeffs), self.order)
 
     def specialize(
         self,
@@ -563,17 +542,31 @@ def specialize(
 #     rho[n] = (Q/z)[n] + sum_{i+j=n-2} rho[i]*rho[j] - sum_{k=1..n} P[k]*rho[n-k]
 # (Prodinger, "The kernel method: a collection of examples", 2004).  The
 # companion root r1 has a 1/z pole; z*r1 = P - z*r2 is the object that
-# appears in denominators (constant term 1, so z*u - z*r1 is invertible as a
+# appears in denominators (constant term 1, so z*r1 - z*u is invertible as a
 # series), and W = P - 2*z*r2.  W^2 = radicand is kept as a test identity.
 #
-# Numeric sigma and tau are substituted into every constant the pipeline
-# builds (P, Q/z, the boundary and assembly terms, the sigma and tau
-# multipliers) before it runs.  Substituting is a ring homomorphism, and
-# every divisor on the way has constant term 1 or -1 whatever s and t are,
-# so each step, and hence the result, is the full symbolic one specialized
-# (Banderier & Flajolet, "Basic analytic combinatorics of directed lattice
-# paths", 2002).  u stays symbolic through assembly: the skew H divides F
-# by u, which a numeric u no longer allows; callers substitute it at the end.
+# The layers obey, with T = F+G+H(+K) and C0 = T(0),
+#     F = z*u*(F + G + s*H)                  (no U after L)
+#     G = 1 + z*T                            (H may follow any layer)
+#     H = (z/u)*(t*F + G + H (+ K) - C0)     (F(0) = 0: no U ends at level 0)
+#     K = (z/u)*(G + H + K - C0)             (skew; no L after U).
+# Solved, each layer is a numerator over -(z*u^2 - P*u + Q) =
+# -z*(u - r1)*(u - r2).  A layer is a power series, so its numerator vanishes
+# at u = r2, which leaves a numerator over z*r1 - z*u.  With a = 1 (plain) or
+# 2 (skew), the constant term of Q/z, and the u- and r2-free
+#     N = 1 - z^2*((1-s)*(1-t) + a - 1),   D = a - s,
+# T's numerator u*(N + z^2*D*C0) - Q*C0 is linear in u, hence
+# (N + z^2*D*C0)*(u - r2), and
+#     T = (N + z^2*D*C0) / (z*r1 - z*u);
+# its u=0 instance C0*(z*r1 - z^2*D) = N gives C0.  F's numerator, once
+# divided, is z*u plus a u-free part that F(0) = 0 forces to vanish, so
+# F = z*u/(z*r1 - z*u).  Likewise K = z^2*(C0 - 1)/(z*r1 - z*u), G = 1 + z*T
+# and H is the rest of T.  Nothing divides by u, and every divisor has
+# constant term 1 whatever u, s and t are.  So numeric u, sigma and tau are
+# substituted into the constants the pipeline builds (P, Q/z, N, D, z*u)
+# before it runs: substituting is a ring homomorphism, so each step, and the
+# result, is the full symbolic one specialized (Banderier & Flajolet, "Basic
+# analytic combinatorics of directed lattice paths", 2002).
 
 _PLAIN_CUBIC_TAIL = (
     (2, 0, 0, 0, 1),
@@ -631,18 +624,11 @@ def _terms_at(
     terms: Iterable[tuple[int, int, int, int, Rat]],
     sigma: Optional[Rat],
     tau: Optional[Rat],
+    u: Optional[Rat] = None,
 ) -> Series:
-    """Series.from_terms after substituting the numeric ones of sigma, tau."""
-    require_exact(sigma)
-    require_exact(tau)
-    out = []
-    for zpow, eu, es, et, coeff in terms:
-        if sigma is not None:
-            coeff, es = coeff * sigma**es, 0
-        if tau is not None:
-            coeff, et = coeff * tau**et, 0
-        out.append((zpow, eu, es, et, coeff))
-    return Series.from_terms(order, out)
+    """Series.from_terms after substituting the numeric ones of u, sigma, tau."""
+    coeffs = Series.from_terms(order, terms).coefficients()
+    return Series(tuple(p.substitute(u, sigma, tau) for p in coeffs), order)
 
 
 def _plain_cubic(
@@ -668,11 +654,9 @@ def kernel_sum(
     return _terms_at(order, _SKEW_KERNEL_SUM_TERMS, sigma, tau)
 
 
-# Q/z, the constant coefficient of the kernel quadratic in rho
-_KERNEL_Q_OVER_Z_TERMS = {
-    Variant.PLAIN: ((0, 0, 0, 0, 1),),
-    Variant.SKEW: ((0, 0, 0, 0, 2), (2, 0, 1, 1, -1)),
-}
+# a, the constant term of Q/z = a - (a-1)*s*t*z^2 (1 plain, 2 skew), where Q
+# is the constant coefficient of the kernel quadratic
+_A = {Variant.PLAIN: 1, Variant.SKEW: 2}
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -681,7 +665,9 @@ def _kernel_rho(
 ) -> Series:
     # rho = r2/z by the coefficient recurrence above
     p = kernel_sum(variant, order, sigma, tau).coefficients()
-    q = _terms_at(order, _KERNEL_Q_OVER_Z_TERMS[variant], sigma, tau).coefficients()
+    a = _A[variant]
+    q = _terms_at(order, [(0, 0, 0, 0, a), (2, 0, 1, 1, 1 - a)], sigma, tau)
+    q = q.coefficients()
     rho: list[Poly] = []
     for n in range(order + 1):
         acc = dict(q[n]._terms)
@@ -721,164 +707,128 @@ def kernel_zr1(
     return kernel_sum(variant, order, sigma, tau) - _z2_rho(variant, order, sigma, tau)
 
 
+def _cached(fn):
+    """lru_cache keyed on every argument, omitted defaults filled in, so that
+    f(v, n) and f(v, n, None, None) share one entry."""
+    cached = functools.lru_cache(maxsize=CACHE_SIZE, typed=True)(fn)
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def lookup(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
+def _n_and_z2d(
+    variant: Variant, order: int, sigma: Optional[Rat], tau: Optional[Rat]
+) -> tuple[Series, Series]:
+    """N = 1 - z^2*((1-s)*(1-t) + a - 1) and z^2*D = z^2*(a - s)."""
+    a = _A[variant]
+    n = [(0, 0, 0, 0, 1), (2, 0, 0, 0, -a), (2, 0, 1, 0, 1), (2, 0, 0, 1, 1),
+         (2, 0, 1, 1, -1)]
+    z2d = [(2, 0, 0, 0, a), (2, 0, 1, 0, -1)]
+    return _terms_at(order, n, sigma, tau), _terms_at(order, z2d, sigma, tau)
+
+
 @dataclass(frozen=True)
 class BoundaryValues:
-    """The u=0 values of the layer generating functions."""
+    """The u=0 values of the layer generating functions and their total c0."""
 
     variant: Variant
     order: int
     g0: Series
     h0: Series
     k0: Optional[Series]
+    c0: Series
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+@_cached
 def boundary_values(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> BoundaryValues:
     """The u=0 layer values, from one division by a series with constant term 1.
 
-    The u=0 total C0 = G(0)+H(0)(+K(0)) solves
-        C0 * (z*r1 - z^2*D) = N,   the left factor having constant term 1,
-        plain: N = 1 - z^2*(1-s)*(1-t),      D = 1 - s
-        skew:  N = 1 - z*r2 + t*z^2*(1-s),   D = 2 + 2z - s*z.
-    In the plain variant this is the u=0 instance of the divided closed form
-    of F+G+H (F(0) = 0).  In the skew variant it is the relation forced by
-    substituting r2 for u in the quadratic for the grand total, multiplied by
-    -z/r2 and simplified with r1*r2 = Q/z = 2 - s*t*z^2.  Then the level-0
-    layer recursion gives G(0) = 1 + z*C0; in the skew variant the u=0
-    instance of the K closed form gives z*r1*K(0) = z^2*(C0 - 1) (pivot 1);
+    The u=0 total C0 = G(0)+H(0)(+K(0)) solves C0 * (z*r1 - z^2*D) = N, the
+    u=0 instance of the total's formula (see the kernel pipeline comment).
+    Then G(0) = 1 + z*C0; in the skew variant K(0) = z^2*(C0 - 1)/(z*r1);
     H(0) is what remains of C0.  Numeric sigma and tau are substituted
     first, as in the whole pipeline.
     """
     zr1 = kernel_zr1(variant, order, sigma, tau)
+    num, z2d = _n_and_z2d(variant, order, sigma, tau)
     one = Series.one(order)
-    if variant is Variant.PLAIN:
-        num = _terms_at(
-            order,
-            [(0, 0, 0, 0, 1), (2, 0, 0, 0, -1), (2, 0, 1, 0, 1), (2, 0, 0, 1, 1),
-             (2, 0, 1, 1, -1)],
-            sigma, tau,
-        )
-        z2d = _terms_at(order, [(2, 0, 0, 0, 1), (2, 0, 1, 0, -1)], sigma, tau)
-    else:
-        num = (
-            one
-            - kernel_r2(variant, order, sigma, tau).shift_up(1).prefix(order)
-            + _terms_at(order, [(2, 0, 0, 1, 1), (2, 0, 1, 1, -1)], sigma, tau)
-        )
-        z2d = _terms_at(
-            order, [(2, 0, 0, 0, 2), (3, 0, 0, 0, 2), (3, 0, 1, 0, -1)], sigma, tau
-        )
     c0 = num / (zr1 - z2d)
     g0 = one + c0.shift_up(1).prefix(order)
     if variant is Variant.PLAIN:
-        return BoundaryValues(variant, order, g0, c0 - g0, None)
+        return BoundaryValues(variant, order, g0, c0 - g0, None, c0)
     k0 = (c0 - one).shift_up(2).prefix(order) / zr1
-    return BoundaryValues(variant, order, g0, c0 - g0 - k0, k0)
+    return BoundaryValues(variant, order, g0, c0 - g0 - k0, k0, c0)
 
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """The layer generating functions and their total, divided by the kernel.
+    """The grand generating function of all walks and its layers.
 
-    f: walks whose last step was U; g: empty walk or last step H; h: last
-    step D; k: last step L (skew only, None otherwise).  total is the
-    grand generating function of all walks.
+    total is built with the object; the layers are built from it the first
+    time they are read.  f: walks whose last step was U; g: empty walk or
+    last step H; h: last step D; k: last step L (skew only, None
+    otherwise).  c0 is the u=0 total and kernel the divisor z*r1 - z*u.
     """
 
     variant: Variant
     order: int
-    f: Series
-    g: Series
-    h: Series
-    k: Optional[Series]
     total: Series
+    c0: Series = field(repr=False)
+    kernel: Series = field(repr=False)
+    zu: Series = field(repr=False)
+
+    @functools.cached_property
+    def f(self) -> Series:
+        return self.zu / self.kernel
+
+    @functools.cached_property
+    def g(self) -> Series:
+        return Series.one(self.order) + self.total.shift_up(1).prefix(self.order)
+
+    @functools.cached_property
+    def k(self) -> Optional[Series]:
+        if self.variant is Variant.PLAIN:
+            return None
+        c0_minus_one = self.c0 - Series.one(self.order)
+        return c0_minus_one.shift_up(2).prefix(self.order) / self.kernel
+
+    @functools.cached_property
+    def h(self) -> Series:
+        rest = self.total - self.f - self.g
+        return rest if self.k is None else rest - self.k
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+@_cached
 def closed_form(
-    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+    variant: Variant,
+    order: int,
+    sigma: Optional[Rat] = None,
+    tau: Optional[Rat] = None,
+    u: Optional[Rat] = None,
 ) -> ClosedForm:
-    """Assemble the layer generating functions from the kernel data.
+    """The grand total (N + z^2*D*C0) / (z*r1 - z*u) and, when read, its layers.
 
-    Every layer function is a numerator over the common denominator
-    z*u - z*r1, whose constant term is -1, so the division is exact series
-    arithmetic with no radicals left over.  A numeric sigma or tau gives the
-    symbolic result with that value substituted; u stays symbolic.
+    The divisor has constant term 1, so the division is exact series
+    arithmetic with no radicals left over.  Numeric u, sigma or tau give the
+    symbolic result with those values substituted.
     """
-    r2 = kernel_r2(variant, order, sigma, tau)
     zr1 = kernel_zr1(variant, order, sigma, tau)
-    bnd = boundary_values(variant, order, sigma, tau)
-    sigma_poly = _SIGMA.substitute(sigma=sigma)
-    tau_poly = _TAU.substitute(tau=tau)
-    u_series = Series.constant_poly(_U, order)
-    z1 = Series.z(order)
-    z_sigma = _terms_at(order, [(1, 0, 1, 0, 1)], sigma, tau)
-    one = Series.one(order)
-    tau_series = Series.constant_poly(tau_poly, order)
-    denom = Series.from_terms(order, [(1, 1, 0, 0, 1)]) - zr1
-
-    if variant is Variant.PLAIN:
-        s0 = bnd.g0 + bnd.h0
-        s0_sigma = s0.mul_poly(sigma_poly)
-        inner_f = (
-            r2
-            + u_series
-            + s0_sigma.shift_up(2)
-            - s0.shift_up(2)
-            + z_sigma
-            - z1
-            - s0_sigma.shift_up(1)
-        )
-        num_f = -inner_f.shift_up(1)
-        num_g = (
-            r2.shift_up(1)
-            + s0_sigma.shift_up(3)
-            - s0.shift_up(3)
-            + _terms_at(
-                order,
-                [(2, 0, 1, 1, 1), (2, 0, 0, 0, -1), (0, 0, 0, 0, -1), (1, 1, 0, 0, 1)],
-                sigma, tau,
-            )
-        )
-        num_h = -(bnd.h0 + tau_series - one + bnd.g0).shift_up(2)
-        f = num_f / denom
-        g = num_g / denom
-        h = num_h / denom
-        return ClosedForm(variant, order, f, g, h, None, f + g + h)
-
-    c0 = bnd.g0 + bnd.h0 + bnd.k0
-    c0_sigma = c0.mul_poly(sigma_poly)
-    inner_f = (
-        r2
-        - bnd.k0.shift_up(2).scale(2)
-        + c0_sigma.shift_up(2)
-        - c0_sigma.shift_up(1)
-        - bnd.g0.shift_up(2).scale(2)
-        - bnd.h0.shift_up(2).scale(2)
-        + z_sigma
-        - z1.scale(2)
-        + u_series
-    )
-    num_f = -inner_f.shift_up(1)
-    num_g = (
-        r2.shift_up(1)
-        + c0.mul_poly(sigma_poly - Poly.constant(2)).shift_up(3)
-        + _terms_at(
-            order,
-            [(2, 0, 1, 1, 1), (2, 0, 0, 0, -2), (0, 0, 0, 0, -1), (1, 1, 0, 0, 1)],
-            sigma, tau,
-        )
-    )
-    num_k = -(c0 - one).shift_up(2)
-    f = num_f / denom
-    g = num_g / denom
-    k = num_k / denom
-    # the layer recursion gives H = K + tau*z*F/u directly (F is divisible
-    # by u: a walk ending with an up step sits at level >= 1)
-    h = k + f.div_u().shift_up(1).prefix(order).mul_poly(tau_poly)
-    return ClosedForm(variant, order, f, g, h, k, f + g + h + k)
+    c0 = boundary_values(variant, order, sigma, tau).c0
+    num, z2d = _n_and_z2d(variant, order, sigma, tau)
+    zu = _terms_at(order, [(1, 1, 0, 0, 1)], sigma, tau, u)
+    kernel = zr1 - zu
+    total = (num + z2d * c0) / kernel
+    return ClosedForm(variant, order, total, c0, kernel, zu)
 
 
 def plain_printed_boundary_identities(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -216,17 +217,34 @@ def test_dp_series_matches_dp_count():
             assert series.coefficient(n) == expected
 
 
+def assert_layers_equal(layers, closed, variant):
+    assert layers[Layer.AFTER_U] == closed.f
+    assert layers[Layer.AFTER_H] == closed.g
+    assert layers[Layer.AFTER_D] == closed.h
+    if variant is Variant.SKEW:
+        assert layers[Layer.AFTER_L] == closed.k
+    else:
+        assert closed.k is None
+        assert layers[Layer.AFTER_L].is_zero()
+
+
 def test_layer_series_matches_closed_form():
     for variant in Variant:
-        layers = layer_series(8, variant)
-        closed = closed_form(variant, 8)
-        assert layers[Layer.AFTER_U] == closed.f
-        assert layers[Layer.AFTER_H] == closed.g
-        assert layers[Layer.AFTER_D] == closed.h
-        if variant is Variant.SKEW:
-            assert layers[Layer.AFTER_L] == closed.k
-        else:
-            assert layers[Layer.AFTER_L].is_zero()
+        assert_layers_equal(
+            layer_series(20, variant), closed_form(variant, 20), variant
+        )
+
+
+@pytest.mark.parametrize("u", [0, -1, Fraction(1, 2)])
+def test_layer_series_matches_closed_form_with_values_in(u):
+    sigma, tau = Fraction(3, 2), -1
+    for variant in Variant:
+        layers = {
+            layer: series.specialize(u=u, sigma=sigma, tau=tau)
+            for layer, series in layer_series(12, variant).items()
+        }
+        closed = closed_form(variant, 12, sigma, tau, u)
+        assert_layers_equal(layers, closed, variant)
 
 
 def test_dp_series_specialization_drops_marked_terms():

@@ -34,6 +34,15 @@ def test_count_end_level_zero(capsys):
     assert out == "n j ud du count\n4 0 0 0 4\n4 0 1 0 4\n4 0 2 1 1\n"
 
 
+def test_count_negative_end_level(capsys):
+    rc, out, err = run(
+        capsys, "count", "--variant", "plain", "--n", "4", "--end-level", "-1"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --end-level must be nonnegative\n"
+
+
 def test_count_n0(capsys):
     rc, out, _ = run(capsys, "count", "--variant", "skew", "--n", "0")
     assert rc == 0

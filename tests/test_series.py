@@ -115,13 +115,6 @@ def test_poly_degrees_and_coefficient():
     assert p.coefficient(1, 1, 1) == 0
 
 
-def test_poly_divide_u():
-    p = poly({(2, 1, 0): 2, (1, 0, 0): 1})
-    assert p.divide_u() == poly({(1, 1, 0): 2, (0, 0, 0): 1})
-    with pytest.raises(ValueError):
-        p.divide_u(2)
-
-
 # ---------------------------------------------------------------------------
 # Series arithmetic
 
@@ -425,6 +418,29 @@ def test_closed_form_structure():
         assert closed.total == parts
         assert closed.f.specialize(u=0).is_zero()
         assert closed.g.coefficient(0) == Poly.one()
+
+
+def test_kernel_r2_ties_to_the_boundary_values():
+    # the boundary values no longer read r2; this identity is what ties the
+    # root to them: r2 = z*(s*C0 - (s - a)*G0), a = 1 plain, 2 skew
+    sigma = Series.constant_poly(poly({(0, 1, 0): 1}), 30)
+    for variant, a in ((Variant.PLAIN, 1), (Variant.SKEW, 2)):
+        bnd = boundary_values(variant, 30)
+        c0 = bnd.g0 + bnd.h0 + (bnd.k0 if bnd.k0 is not None else Series.zero(30))
+        assert c0 == bnd.c0
+        inner = sigma * c0 - (sigma - Series.one(30).scale(a)) * bnd.g0
+        assert kernel_r2(variant, 30) == inner.shift_up(1).prefix(30)
+
+
+def test_omitted_defaults_share_one_cache_entry():
+    for cache in (boundary_values, closed_form):
+        cache.cache_clear()
+        for args in ((Variant.PLAIN, 5), (Variant.PLAIN, 5, None, None)):
+            cache(*args)
+        if cache is closed_form:
+            cache(Variant.PLAIN, 5, None, None, None)
+            cache(Variant.PLAIN, 5, u=None)
+        assert cache.cache_info().misses == 1
 
 
 def test_pipeline_caches_are_bounded():

@@ -30,15 +30,15 @@ def test_dp_values_in_the_sweep_equal_full_then_specialize(variant):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_closed_form_values_in_the_pipeline_equal_full_then_specialize(variant):
     full = closed_form(variant, 10)
-    for sigma, tau in itertools.product(VALUES, repeat=2):
-        first = closed_form(variant, 10, sigma, tau)
+    for sigma, tau, u in itertools.product(VALUES, repeat=3):
+        first = closed_form(variant, 10, sigma, tau, u)
         for name in ("f", "g", "h", "k", "total"):
             whole = getattr(full, name)
             if whole is None:
                 assert getattr(first, name) is None
                 continue
-            expected = whole.specialize(sigma=sigma, tau=tau)
-            assert getattr(first, name) == expected, (name, sigma, tau)
+            expected = whole.specialize(u=u, sigma=sigma, tau=tau)
+            assert getattr(first, name) == expected, (name, u, sigma, tau)
 
 
 def test_anchor_terms_equal_full_then_specialize():
