@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -122,6 +120,9 @@ def anchor_computed_terms(anchor: OeisAnchor, count: int) -> list[int]:
 
 def fetch_bfile(id: str, timeout: float = OEIS_TIMEOUT) -> list[int]:
     """Download and parse a b-file: one "index value" pair per line."""
+    # imported here: it is most of the start-up cost of every other command
+    import urllib.request
+
     url = OEIS_URL.format(id=id, digits=id.lstrip("A"))
     with urllib.request.urlopen(url, timeout=timeout) as response:
         text = response.read().decode("utf-8", errors="replace")
@@ -353,16 +354,14 @@ def cmd_paths(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
     _check_length_bound(args.n, MAX_PATH_LEN, args.unbounded)
     filters = _CLASS_FILTERS[args.path_class]
-    words = sorted(
-        str(word)
-        for word in enumerate_paths(
-            args.n, variant, allow_large=args.unbounded, **filters
-        )
-    )
-    if not args.count_only:
-        for word in words:
-            print(word)
-    print(f"({len(words)})")
+    words = enumerate_paths(args.n, variant, allow_large=args.unbounded, **filters)
+    if args.count_only:
+        print(f"({sum(1 for _ in words)})")
+        return OK
+    texts = sorted(map(str, words))
+    for text in texts:
+        print(text)
+    print(f"({len(texts)})")
     return OK
 
 

@@ -36,6 +36,11 @@ class Step(enum.Enum):
 
 _DELTA = {Step.U: 1, Step.D: -1, Step.H: 0, Step.L: -1}
 
+# The per-step loops below key on the letter or test identity: a dict lookup
+# by member, as in ``Step.delta``, calls the Python-level ``Enum.__hash__``.
+_LETTER_DELTA = {s._value_: d for s, d in _DELTA.items()}
+_U, _D, _H = Step.U, Step.D, Step.H
+
 
 class Variant(enum.Enum):
     """Which step alphabet and adjacency rules apply."""
@@ -73,7 +78,7 @@ class PathWord:
         lvl = 0
         low = 0
         for s in self.steps:
-            lvl += s.delta
+            lvl += _LETTER_DELTA[s._value_]
             if lvl < low:
                 low = lvl
         object.__setattr__(self, "end_level", lvl)
@@ -103,7 +108,7 @@ class PathWord:
         return iter(self.steps)
 
     def __str__(self) -> str:
-        return "".join(s.value for s in self.steps)
+        return "".join([s._value_ for s in self.steps])
 
 
 def classify(word: PathWord, variant: Variant) -> PathClass:
@@ -169,7 +174,7 @@ class Bargraph:
     columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(h < 1 for h in self.columns):
+        if self.columns and min(self.columns) < 1:
             raise ValueError(f"column heights must be >= 1, got {self.columns}")
 
     @property
@@ -205,18 +210,36 @@ def to_bargraph(word: PathWord) -> Bargraph:
     Elevate the word to U + word + D and record the height at each H step of
     the elevated walk; those heights are the columns.  The empty word maps to
     the empty bargraph.
+
+    One pass checks the word too.  A word that is not a plain excursion is
+    reported as such before any UD or DU factor it has, as ``classify`` and
+    ``pattern_stats`` would report it.
     """
-    if classify(word, Variant.PLAIN) is not PathClass.EXCURSION:
-        raise ValueError(f"{str(word)!r} is not a plain excursion")
-    if not is_cornerless(word):
-        raise ValueError(f"{str(word)!r} is not cornerless (contains UD or DU)")
     height = 1
+    prev = None
+    off_plain = False  # an L step, or a dip below the elevated floor
+    corner = False
     cols = []
     for s in word.steps:
-        if s is Step.H:
+        if s is _H:
             cols.append(height)
+        elif s is _U:
+            if prev is _D:
+                corner = True
+            height += 1
+        elif s is _D:
+            if prev is _U:
+                corner = True
+            height -= 1
+            if height < 1:
+                off_plain = True
         else:
-            height += s.delta
+            off_plain = True
+        prev = s
+    if off_plain or height != 1:
+        raise ValueError(f"{str(word)!r} is not a plain excursion")
+    if corner:
+        raise ValueError(f"{str(word)!r} is not cornerless (contains UD or DU)")
     return Bargraph(tuple(cols))
 
 
@@ -224,21 +247,19 @@ def from_bargraph(bargraph: Bargraph) -> PathWord:
     """Map a nonempty bargraph back to its cornerless excursion.
 
     Walk the bargraph boundary (rise to each column height, one H across the
-    top, fall at the end), then strip the elevation pair: the leading U and
-    the trailing D.
+    top, fall at the end) without the elevation pair: start at height 1 and
+    stop there, which drops the leading U and the trailing D.
     """
     if not bargraph.columns:
         raise ValueError("the empty bargraph has no path preimage")
     steps: list[Step] = []
-    height = 0
+    height = 1
     for h in bargraph.columns:
         if h > height:
-            steps.extend([Step.U] * (h - height))
-        else:
-            steps.extend([Step.D] * (height - h))
-        steps.append(Step.H)
+            steps += (_U,) * (h - height)
+        elif h < height:
+            steps += (_D,) * (height - h)
+        steps.append(_H)
         height = h
-    steps.extend([Step.D] * height)
-    # boundary words always start with U and end with D
-    word = PathWord(tuple(steps[1:-1]))
-    return word
+    steps += (_D,) * (height - 1)
+    return PathWord(tuple(steps))

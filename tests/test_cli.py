@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import motzkin
 from motzkin.cli import (
     ANCHORS,
     align_terms,
@@ -234,6 +239,21 @@ def test_paths_count_only(capsys):
     assert out == "(2)\n"
 
 
+@pytest.mark.parametrize("variant, path_class, n", [
+    ("plain", "all", 6),
+    ("skew", "excursion", 7),
+    ("plain", "cornerless", 9),
+    ("skew", "valleyless", 0),
+])
+def test_paths_count_only_is_the_listing_footer(capsys, variant, path_class, n):
+    argv = ("paths", "--variant", variant, "--class", path_class, "--n", str(n))
+    rc, listing, _ = run(capsys, *argv)
+    assert rc == 0
+    rc, footer, _ = run(capsys, *argv, "--count-only")
+    assert rc == 0
+    assert footer == listing.splitlines(keepends=True)[-1]
+
+
 def test_paths_list_conflicts_with_count_only(capsys):
     rc, _, err = run(capsys, "paths", "--n", "2", "--list", "--count-only")
     assert rc == 2
@@ -434,6 +454,18 @@ def test_oeis_fetch_failure_degrades(capsys, monkeypatch):
     assert rc == 0
     assert "warning: fetch failed" in err
     assert "[builtin]" in out
+
+
+def test_import_leaves_urllib_unloaded():
+    # a fresh interpreter: only `oeis --fetch` needs the network stack
+    code = "import sys, motzkin.cli; print('urllib.request' in sys.modules)"
+    src = str(Path(motzkin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_align_terms():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from motzkin.paths import (
     pattern_stats,
     to_bargraph,
 )
-from motzkin.oracle import enumerate_paths
+from motzkin.oracle import enumerate_bargraphs, enumerate_paths
 
 
 def word(text):
@@ -167,6 +168,49 @@ def test_bijection_round_trip_small():
         assert classify(w, Variant.PLAIN) is PathClass.EXCURSION
         assert is_cornerless(w)
         assert to_bargraph(w) == b
+
+
+def _reference_to_bargraph(w):
+    """The bargraph map as separate passes: classify, pattern_stats, then
+    the heights of the elevated walk by Step.delta."""
+    if classify(w, Variant.PLAIN) is not PathClass.EXCURSION:
+        raise ValueError(f"{str(w)!r} is not a plain excursion")
+    stats = pattern_stats(w)
+    if stats.ud or stats.du:
+        raise ValueError(f"{str(w)!r} is not cornerless (contains UD or DU)")
+    height = 1
+    cols = []
+    for s in w.steps:
+        if s is Step.H:
+            cols.append(height)
+        else:
+            height += s.delta
+    return Bargraph(tuple(cols))
+
+
+def _outcome(f, arg):
+    try:
+        return f(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_to_bargraph_matches_reference_exhaustively():
+    """Every word over U, D, H, L up to length 8: the same columns, or the
+    same error, so a non-excursion with corners reports the excursion
+    error first."""
+    for n in range(9):
+        for steps in itertools.product(Step, repeat=n):
+            w = PathWord(steps)
+            assert _outcome(to_bargraph, w) == _outcome(_reference_to_bargraph, w)
+
+
+def test_from_bargraph_images_are_excursions():
+    for s in range(2, 10):
+        for graph in enumerate_bargraphs(s):
+            w = from_bargraph(graph)
+            assert w.end_level == w.min_level == 0
+            assert to_bargraph(w) == graph
 
 
 def test_semiperimeter_law():

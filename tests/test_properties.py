@@ -5,6 +5,7 @@ is kept, so every run checks the same cases.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,3 +112,13 @@ def test_run_agrees_with_classify(variant, text):
         assert res.end == (layer, word.end_level)
         stats = pattern_stats(word)
         assert (res.sigma_exp, res.tau_exp) == (stats.du, stats.ud)
+
+
+@derandomized
+@given(words | st.text("UDHLudhl", max_size=24))
+def test_word_levels_and_text(text):
+    word = PathWord.parse(text)
+    levels = list(accumulate((s.delta for s in word.steps), initial=0))
+    assert word.end_level == levels[-1]
+    assert word.min_level == min(levels)
+    assert str(word) == text.upper()
