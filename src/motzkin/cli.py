@@ -120,7 +120,8 @@ def anchor_computed_terms(anchor: OeisAnchor, count: int) -> list[int]:
 
 def fetch_bfile(id: str, timeout: float = OEIS_TIMEOUT) -> list[int]:
     """Download and parse a b-file: one "index value" pair per line."""
-    # imported here: it is most of the start-up cost of every other command
+    # imported here, not at the top: it is about half of the import time of
+    # this module, and no other command needs it
     import urllib.request
 
     url = OEIS_URL.format(id=id, digits=id.lstrip("A"))

@@ -217,7 +217,7 @@ def to_bargraph(word: PathWord) -> Bargraph:
     """
     height = 1
     prev = None
-    off_plain = False  # an L step, or a dip below the elevated floor
+    off_plain = False  # an L step, or a dip below level 0
     corner = False
     cols = []
     for s in word.steps:
