@@ -13,18 +13,24 @@ is an implementation independent from both the brute-force oracle and the
 closed-form series pipeline.  A numeric sigma, tau or u goes into the sweep
 instead of its exponent: the counts are multiplied by the value, the
 #DU/#UD (or level) index collapses, and the result is the symbolic series
-with that value substituted, computed on far fewer entries.
+with that value substituted, computed on far fewer entries.  The sweep runs
+on ints: its keys pack (state, #UD, #DU) into one int, and numeric sigma
+and tau are scaled by their common denominator, which ``dp_series`` divides
+out once per coefficient.  ``dp_series`` results are cached like those of
+``closed_form``.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from .oracle import CountTable
-from .series import Poly, Rat, Series, require_exact
+from .series import Poly, Rat, Series, _cached, require_exact
 from .paths import PathWord, Variant
 
 
@@ -170,62 +176,93 @@ def run(spec: AutomatonSpec, word: PathWord | str) -> RunResult:
     return RunResult(True, state, sig, tau)
 
 
+# The sweep numbers a state (layer, level) as level*4 + the layer's index
+# in Layer, and packs (state, #UD, #DU) into one int key,
+# state << 2*bits | ud << bits | du, with bits wide enough for n_max.
+_LAYERS = tuple(Layer)
+_LAYER_INDEX = {layer: i for i, layer in enumerate(_LAYERS)}
+
+
+def _state_index(state: State) -> int:
+    layer, level = state
+    return level * 4 + _LAYER_INDEX[layer]
+
+
 def _sweep(
     variant: Variant,
     n_max: int,
     sigma: Optional[Rat] = None,
     tau: Optional[Rat] = None,
-) -> Iterator[tuple[int, dict[tuple[State, int, int], Rat]]]:
-    """Yield (n, frontier) for n = 0..n_max.
+) -> tuple[int, int, Iterator[dict[int, int]]]:
+    """Return (bits, scale, frontiers) for walks of length 0..n_max.
 
-    The frontier maps (state, #UD, #DU) to the weighted number of walks of
+    frontiers yields, for n = 0..n_max, a dict from packed (state, #UD, #DU)
+    keys (see above) to scale**n times the weighted number of walks of
     length n that end there.  A weight left as None is counted by its index
     (#UD for tau, #DU for sigma); a numeric weight multiplies the count
-    instead and leaves its index at 0.  Zero counts, which only a negative
+    instead and leaves its index at 0.  scale is the common denominator of
+    the numeric weights, and every move multiplies by its weight times
+    scale, so every count is an int.  Zero counts, which only a negative
     weight can leave by cancellation, are dropped.  Walks of length n never
     exceed level n, so the level cap n_max makes every frontier exact.  The
-    recursion iterates over the explicit transition list; the step deltas
-    and weights are never re-derived here.
+    moves come from the explicit transition list; the step deltas and
+    weights are never re-derived here.
     """
     require_exact(sigma)
     require_exact(tau)
-    # (d_ud, d_du, multiplier) of a transition, by its weight
+    scale = math.lcm(*(v.denominator for v in (sigma, tau) if v is not None))
+    bits = n_max.bit_length()
+    # (index delta, multiplier) of a transition, by its weight
     effect = {
-        WEIGHT_ONE: (0, 0, 1),
-        WEIGHT_TAU: (1, 0, 1) if tau is None else (0, 0, tau),
-        WEIGHT_SIGMA: (0, 1, 1) if sigma is None else (0, 0, sigma),
+        WEIGHT_ONE: (0, scale),
+        WEIGHT_TAU: (1 << bits, scale) if tau is None
+        else (0, tau.numerator * (scale // tau.denominator)),
+        WEIGHT_SIGMA: (1, scale) if sigma is None
+        else (0, sigma.numerator * (scale // sigma.denominator)),
     }
-    cancels = any(mult < 0 for _, _, mult in effect.values())
+    cancels = any(mult < 0 for _, mult in effect.values())
     spec = build_automaton(variant, n_max)
-    moves: dict[State, list[tuple[State, int, int, Rat]]] = {}
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(4 * (n_max + 1))]
     for t in spec.transitions:
-        d_ud, d_du, mult = effect[t.weight]
+        d_index, mult = effect[t.weight]
         if mult:
-            moves.setdefault(t.src, []).append((t.dst, d_ud, d_du, mult))
-    frontier: dict[tuple[State, int, int], Rat] = {(spec.start, 0, 0): 1}
-    yield 0, frontier
-    for n in range(1, n_max + 1):
-        nxt: dict[tuple[State, int, int], Rat] = {}
-        for (state, ud, du), c in frontier.items():
-            for dst, d_ud, d_du, mult in moves.get(state, ()):
-                key = (dst, ud + d_ud, du + d_du)
-                nxt[key] = nxt.get(key, 0) + c * mult
-        frontier = {key: c for key, c in nxt.items() if c} if cancels else nxt
-        yield n, frontier
+            src = _state_index(t.src)
+            delta = ((_state_index(t.dst) - src) << (2 * bits)) + d_index
+            moves[src].append((delta, mult))
+    start = _state_index(spec.start) << (2 * bits)
+
+    def frontiers() -> Iterator[dict[int, int]]:
+        shift = 2 * bits
+        frontier = {start: 1}
+        yield frontier
+        for _ in range(n_max):
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for key, c in frontier.items():
+                for delta, mult in moves[key >> shift]:
+                    key_out = key + delta
+                    nxt[key_out] = get(key_out, 0) + c * mult
+            frontier = {key: c for key, c in nxt.items() if c} if cancels else nxt
+            yield frontier
+
+    return bits, scale, frontiers()
 
 
 def dp_count(n_max: int, variant: Variant) -> CountTable:
     """Count walks of each (length, end level, #UD, #DU) with the automaton."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    bits, _, frontiers = _sweep(variant, n_max)
+    mask = (1 << bits) - 1
     entries: dict[tuple[int, int, int, int], int] = {}
-    for n, frontier in _sweep(variant, n_max):
-        for (state, ud, du), c in frontier.items():
-            key = (n, state[1], ud, du)
-            entries[key] = entries.get(key, 0) + c
+    for n, frontier in enumerate(frontiers):
+        for key, c in frontier.items():
+            entry = (n, key >> (2 * bits + 2), (key >> bits) & mask, key & mask)
+            entries[entry] = entries.get(entry, 0) + c
     return CountTable(variant, n_max, entries)
 
 
+@_cached
 def dp_series(
     order: int,
     variant: Variant,
@@ -239,20 +276,34 @@ def dp_series(
     over all valid length-n walks ending at level j with du DU factors and
     ud UD factors.  Numeric u, sigma or tau (int or Fraction) are
     substituted during the sweep: the result equals the symbolic series
-    specialized at them.
+    specialized at them.  With u = p/q the level-j count enters as
+    p^j q^(n-j), so coefficient n is all ints until its one division by
+    (scale*q)^n.  Results are cached like ``closed_form``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     require_exact(u)
-    powers = None if u is None else [u**j for j in range(order + 1)]
+    bits, scale, frontiers = _sweep(variant, order, sigma, tau)
+    mask = (1 << bits) - 1
+    q = 1 if u is None else u.denominator
+    if u is not None:
+        p_powers = [u.numerator**j for j in range(order + 1)]
+        q_powers = [q**j for j in range(order + 1)]
     coeffs = []
-    for _, frontier in _sweep(variant, order, sigma, tau):
-        if powers is None:
-            terms = [((j, du, ud), c) for ((_, j), ud, du), c in frontier.items()]
-        else:
-            terms = [((0, du, ud), c * powers[j])
-                     for ((_, j), ud, du), c in frontier.items()]
-        coeffs.append(Poly(terms))
+    for n, frontier in enumerate(frontiers):
+        acc: dict[tuple[int, int, int], int] = {}
+        for key, c in frontier.items():
+            j = key >> (2 * bits + 2)
+            if u is not None:
+                c *= p_powers[j] * q_powers[n - j]
+                j = 0
+            exps = (j, key & mask, (key >> bits) & mask)
+            acc[exps] = acc.get(exps, 0) + c
+        denom = (scale * q) ** n
+        coeffs.append(Poly(
+            (exps, c if denom == 1 else Fraction(c, denom))
+            for exps, c in acc.items()
+        ))
     return Series(coeffs, order)
 
 
@@ -262,13 +313,16 @@ def layer_series(
     """Per-layer generating functions (walks grouped by their final layer)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    buckets: dict[Layer, list[list]] = {
-        layer: [[] for _ in range(order + 1)] for layer in Layer
-    }
-    for n, frontier in _sweep(variant, order):
-        for ((layer, level), ud, du), c in frontier.items():
-            buckets[layer][n].append(((level, du, ud), c))
+    bits, _, frontiers = _sweep(variant, order)
+    mask = (1 << bits) - 1
+    buckets = [[[] for _ in range(order + 1)] for _ in _LAYERS]
+    for n, frontier in enumerate(frontiers):
+        for key, c in frontier.items():
+            state = key >> (2 * bits)
+            buckets[state & 3][n].append(
+                ((state >> 2, key & mask, (key >> bits) & mask), c)
+            )
     return {
-        layer: Series([Poly(terms) for terms in buckets[layer]], order)
-        for layer in Layer
+        layer: Series([Poly(terms) for terms in buckets[i]], order)
+        for i, layer in enumerate(_LAYERS)
     }

@@ -368,7 +368,10 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 def cmd_bargraph(args: argparse.Namespace) -> int:
     if args.path is not None:
-        graph = to_bargraph(PathWord.parse(args.path))
+        word = PathWord.parse(args.path)
+        if not word.steps:
+            raise ValueError("the empty path has no bargraph image")
+        graph = to_bargraph(word)
         print(f"columns: {graph}")
         print(f"semiperimeter: {graph.semiperimeter}")
     else:

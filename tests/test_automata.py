@@ -10,6 +10,7 @@ from motzkin.automata import (
     WEIGHT_SIGMA,
     WEIGHT_TAU,
     Layer,
+    _sweep,
     build_automaton,
     dp_count,
     dp_series,
@@ -259,6 +260,36 @@ def test_dp_series_specialization_drops_marked_terms():
             }
         )
         assert peakless.coefficient(n) == expected
+
+
+DISTINCT_DENOMINATORS = [None, 0, -1, Fraction(2, 3), Fraction(-3, 4), Fraction(5, 7)]
+
+
+def test_dp_series_scales_values_by_their_common_denominator():
+    # values on distinct denominators: the sweep scales sigma and tau by
+    # their lcm, and u = p/q enters as p^j q^(n-j), so a wrong scale or a
+    # wrong power of q shows up here.  The symbolic series is specialized
+    # one variable at a time, so each partial result serves many values.
+    for variant in Variant:
+        full = dp_series(16, variant)
+        for u in DISTINCT_DENOMINATORS:
+            at_u = full.specialize(u=u)
+            for sigma in DISTINCT_DENOMINATORS:
+                at_sigma = at_u.specialize(sigma=sigma)
+                for tau in DISTINCT_DENOMINATORS:
+                    expected = at_sigma.specialize(tau=tau)
+                    got = dp_series(16, variant, u, sigma, tau)
+                    assert got == expected, (u, sigma, tau)
+
+
+def test_cancelling_weights_leave_no_zero_counts():
+    # sigma = -1 makes counts cancel inside the sweep; the frontiers drop
+    # them, which the series would hide, as Poly drops zero terms itself
+    for variant in Variant:
+        _, _, frontiers = _sweep(variant, 16, -1, 1)
+        assert all(all(frontier.values()) for frontier in frontiers)
+        series = dp_series(16, variant, None, -1, 1)
+        assert series == dp_series(16, variant).specialize(sigma=-1, tau=1)
 
 
 def test_dp_refuses_inexact_values():

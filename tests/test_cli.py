@@ -306,6 +306,17 @@ def test_bargraph_rejects_non_excursion(capsys):
     assert err == "error: 'UU' is not a plain excursion\n"
 
 
+def test_bargraph_rejects_empty_path(capsys):
+    # the empty word is a path, but no bargraph has semiperimeter 0; the
+    # columns side refuses the empty bargraph the same way
+    rc, out, err = run(capsys, "bargraph", "--path", "")
+    assert (rc, out) == (2, "")
+    assert err == "error: the empty path has no bargraph image\n"
+    rc, out, err = run(capsys, "bargraph", "--columns", "")
+    assert (rc, out) == (2, "")
+    assert err == "error: the empty bargraph has no path preimage\n"
+
+
 def test_bargraph_rejects_bad_columns(capsys):
     rc, _, err = run(capsys, "bargraph", "--columns", "0")
     assert rc == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from motzkin import series as series_module
+from motzkin.automata import dp_series
 from motzkin.paths import Variant
 from motzkin.series import (
     CACHE_SIZE,
@@ -270,6 +271,17 @@ def test_substitution_refuses_inexact_values():
         closed_form(Variant.SKEW, 3, None, 0.5)
 
 
+def test_cached_dp_result_lets_no_float_through():
+    # the DP cache is typed too: 1.0 == 1 and 0.5 == 1/2 hash alike
+    for exact, inexact in ((1, 1.0), (Fraction(1, 2), 0.5)):
+        dp_series(3, Variant.PLAIN, u=exact)
+        hits = dp_series.cache_info().hits
+        dp_series(3, Variant.PLAIN, u=exact)
+        assert dp_series.cache_info().hits == hits + 1
+        with pytest.raises(TypeError):
+            dp_series(3, Variant.PLAIN, u=inexact)
+
+
 def test_to_text_format():
     s = Series.from_terms(2, [(0, 0, 0, 0, 1), (2, 1, 0, 0, 3)])
     assert s.to_text() == "z^0: 1\nz^1: 0\nz^2: 3*u"
@@ -441,13 +453,19 @@ def test_omitted_defaults_share_one_cache_entry():
             cache(Variant.PLAIN, 5, None, None, None)
             cache(Variant.PLAIN, 5, u=None)
         assert cache.cache_info().misses == 1
+    dp_series.cache_clear()
+    dp_series(5, Variant.PLAIN)
+    dp_series(5, Variant.PLAIN, None, None, None)
+    dp_series(order=5, variant=Variant.PLAIN, sigma=None)
+    assert dp_series.cache_info().misses == 1
 
 
 def test_pipeline_caches_are_bounded():
-    caches = (series_module._kernel_rho, boundary_values, closed_form)
+    caches = (series_module._kernel_rho, boundary_values, closed_form, dp_series)
     for variant in Variant:
         for sigma in range(CACHE_SIZE + 1):
             closed_form(variant, 2, sigma)
+            dp_series(2, variant, None, sigma)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
