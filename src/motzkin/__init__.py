@@ -38,7 +38,6 @@ from .automata import (
     dp_series,
 )
 from .series import (
-    BoundaryValues,
     ClosedForm,
     Poly,
     Series,
@@ -46,9 +45,7 @@ from .series import (
     closed_form,
     default_order,
     kernel_r2,
-    kernel_radicand,
     kernel_sum,
-    kernel_w,
     kernel_zr1,
     specialize,
 )
@@ -57,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bargraph",
-    "BoundaryValues",
     "AutomatonSpec",
     "ClosedForm",
     "CountTable",
@@ -86,9 +82,7 @@ __all__ = [
     "is_peakless",
     "is_valleyless",
     "kernel_r2",
-    "kernel_radicand",
     "kernel_sum",
-    "kernel_w",
     "kernel_zr1",
     "pattern_stats",
     "specialize",

@@ -83,13 +83,6 @@ class AutomatonSpec:
     def transition(self, src: State, step: str) -> Optional[Transition]:
         return self._lookup.get((src, step))
 
-    def states(self) -> list[State]:
-        seen = {self.start}
-        for t in self.transitions:
-            seen.add(t.src)
-            seen.add(t.dst)
-        return sorted(seen, key=lambda s: (s[1], s[0].value))
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -6,22 +6,26 @@ factors (peaks).  Series are dense lists of such polynomials indexed by the
 power of z, each carrying a truncation order; arithmetic results carry the
 minimum order of the operands.  All arithmetic is exact (ints and Fractions,
 never floats); a value that is neither an int nor a Fraction is refused
-with TypeError wherever one is substituted.
+with TypeError wherever one is given as a coefficient or substituted.
 
-The second half of the module is the generating-function pipeline: the
-power-series root r2 = z*rho of the kernel quadratic, with rho taken
-coefficient by coefficient from its own quadratic (z*r1 for the companion
-root and W = P - 2*z*r2 follow by subtraction), the boundary values at u=0
-from one division by a series with constant term 1, and the grand total from
-one more division, by the kernel factor z*r1 - z*u.  The same formula serves
-both variants.  The layers of walks grouped by the layer their last step put
-them in (F after an up step, G after a horizontal step or at the start, H
-after a down step, K after a left-down step) follow from the total and are
-built only when read.  Symbolically it runs in integers throughout.  Numeric
-u, sigma and tau go in before the work: they are substituted into the
-constants the pipeline starts from, so it runs on polynomials in fewer
-variables and gives the full result specialized (see the kernel pipeline
-comment for the formula and why it holds).
+The second half of the module is the generating-function pipeline.  Its
+constants depend on the variant only through a = 1 (plain) or 2 (skew): with
+E = (1-s)*(1-t) + a - 1, the kernel quadratic's linear coefficient is
+P = 1 - z + z^2*(a - s*t) + z^3*E and the total's numerator starts from
+N = 1 - z^2*E.  The power-series root r2 = z*rho of the kernel quadratic
+comes coefficient by coefficient from rho's own quadratic (z*r1 for the
+companion root and W = P - 2*z*r2 follow by subtraction), and the grand
+total from one division, by the kernel factor z*r1 - z*u.  The same formula
+serves both variants.  The layers of walks grouped by the layer their last
+step put them in (F after an up step, G after a horizontal step or at the
+start, H after a down step, K after a left-down step) follow from the total
+and are built only when read.  The boundary values are the same closed form
+at u = 0, whose total C0 is one division by a series with constant term 1.
+Symbolically it runs in integers throughout.  Numeric u, sigma and tau go in
+before the work: they are substituted into the constants the pipeline starts
+from, so it runs on polynomials in fewer variables and gives the full result
+specialized (see the kernel pipeline comment for the formula and why it
+holds).
 """
 
 from __future__ import annotations
@@ -107,6 +111,8 @@ class Poly:
     def __init__(self, terms: Iterable[tuple[tuple[int, int, int], Rat]] = ()):
         acc: dict[int, Rat] = {}
         for (eu, es, et), coeff in terms:
+            if type(coeff) is not int:  # the DP's ints skip the call
+                coeff = _canon(coeff)
             key = _pack(eu, es, et)
             acc[key] = acc.get(key, 0) + coeff
         self._terms = _speedups.clean_terms(acc)
@@ -321,7 +327,7 @@ class Series:
                 continue
             key = _pack(eu, es, et)
             bucket = buckets[zpow]
-            bucket[key] = bucket.get(key, 0) + coeff
+            bucket[key] = bucket.get(key, 0) + _canon(coeff)
         return cls(
             tuple(Poly._raw(_speedups.clean_terms(b)) for b in buckets), order
         )
@@ -453,19 +459,6 @@ class Series:
             raise ValueError("shift must be nonnegative")
         return Series((Poly.zero(),) * k + self._coeffs, self.order + k)
 
-    def shift_down(self, k: int = 1) -> "Series":
-        """Divide by z^k; the low-order coefficients must vanish."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if k > self.order:
-            raise ValueError(f"cannot shift order {self.order} down by {k}")
-        for n in range(k):
-            if not self._coeffs[n].is_zero():
-                raise ValueError(
-                    f"cannot divide by z^{k}: nonzero coefficient at z^{n}"
-                )
-        return Series(self._coeffs[k:], self.order - k)
-
     def specialize(
         self,
         u: Optional[Rat] = None,
@@ -532,10 +525,16 @@ def specialize(
 #
 # Grouping length-counted walks by the layer of their last step gives linear
 # recurrences whose generating function F+G+H(+K) satisfies a quadratic in a
-# catalytic variable u.  Writing the quadratic as z*u^2 - P*u + Q, the
-# discriminant is W^2 = P^2 - 4*z*Q = radicand, and Q/z works out to 1
-# (plain) or 2 - s*t*z^2 (skew).  The power-series root r2 = (P - W)/(2z) is
-# divisible by z, and rho = r2/z solves
+# catalytic variable u, written z*u^2 - P*u + Q.  Every constant the pipeline
+# starts from is a polynomial in z, s and t that depends on the variant only
+# through a = 1 (plain) or 2 (skew):
+#     E   = (1-s)*(1-t) + a - 1
+#     P   = 1 - z + z^2*(a - s*t) + z^3*E
+#     Q/z = a - (a-1)*s*t*z^2
+#     N   = 1 - z^2*E
+#     D   = a - s.
+# The discriminant is W^2 = P^2 - 4*z*Q.  The power-series root
+# r2 = (P - W)/(2z) is divisible by z, and rho = r2/z solves
 #     z^2*rho^2 - P*rho + Q/z = 0.
 # P has constant term 1, so comparing coefficients of z^n gives rho one
 # coefficient at a time with integer arithmetic only:
@@ -543,7 +542,7 @@ def specialize(
 # (Prodinger, "The kernel method: a collection of examples", 2004).  The
 # companion root r1 has a 1/z pole; z*r1 = P - z*r2 is the object that
 # appears in denominators (constant term 1, so z*r1 - z*u is invertible as a
-# series), and W = P - 2*z*r2.  W^2 = radicand is kept as a test identity.
+# series), and W = P - 2*z*r2.  W^2 = P^2 - 4*z*Q is kept as a test identity.
 #
 # The layers obey, with T = F+G+H(+K) and C0 = T(0),
 #     F = z*u*(F + G + s*H)                  (no U after L)
@@ -552,71 +551,37 @@ def specialize(
 #     K = (z/u)*(G + H + K - C0)             (skew; no L after U).
 # Solved, each layer is a numerator over -(z*u^2 - P*u + Q) =
 # -z*(u - r1)*(u - r2).  A layer is a power series, so its numerator vanishes
-# at u = r2, which leaves a numerator over z*r1 - z*u.  With a = 1 (plain) or
-# 2 (skew), the constant term of Q/z, and the u- and r2-free
-#     N = 1 - z^2*((1-s)*(1-t) + a - 1),   D = a - s,
-# T's numerator u*(N + z^2*D*C0) - Q*C0 is linear in u, hence
-# (N + z^2*D*C0)*(u - r2), and
+# at u = r2, which leaves a numerator over z*r1 - z*u.  T's numerator
+# u*(N + z^2*D*C0) - Q*C0 is linear in u, hence (N + z^2*D*C0)*(u - r2), and
 #     T = (N + z^2*D*C0) / (z*r1 - z*u);
 # its u=0 instance C0*(z*r1 - z^2*D) = N gives C0.  F's numerator, once
 # divided, is z*u plus a u-free part that F(0) = 0 forces to vanish, so
 # F = z*u/(z*r1 - z*u).  Likewise K = z^2*(C0 - 1)/(z*r1 - z*u), G = 1 + z*T
-# and H is the rest of T.  Nothing divides by u, and every divisor has
-# constant term 1 whatever u, s and t are.  So numeric u, sigma and tau are
-# substituted into the constants the pipeline builds (P, Q/z, N, D, z*u)
-# before it runs: substituting is a ring homomorphism, so each step, and the
-# result, is the full symbolic one specialized (Banderier & Flajolet, "Basic
-# analytic combinatorics of directed lattice paths", 2002).
+# and H is the rest of T.  The boundary values are this closed form at u = 0:
+# total C0, divisor z*r1, F(0) = 0, and the same formulas give G(0), H(0)
+# and K(0).  Nothing divides by u, and every divisor has constant term 1
+# whatever u, s and t are.  So numeric u, sigma and tau are substituted into
+# the constants the pipeline builds (P, Q/z, N, z^2*D, z*u) before it runs:
+# substituting is a ring homomorphism, so each step, and the result, is the
+# full symbolic one specialized (Banderier & Flajolet, "Basic analytic
+# combinatorics of directed lattice paths", 2002).
 
-_PLAIN_CUBIC_TAIL = (
-    (2, 0, 0, 0, 1),
-    (2, 0, 1, 1, -1),
-    (3, 0, 1, 1, 1),
-    (3, 0, 1, 0, -1),
-    (3, 0, 0, 0, 1),
-    (3, 0, 0, 1, -1),
-)
 
-# the skew discriminant, written out term by term
-_SKEW_RADICAND_TERMS = (
-    (0, 0, 0, 0, 1),
-    (2, 0, 1, 1, -2),
-    (3, 0, 1, 1, 4),
-    (4, 0, 1, 1, -2),
-    (2, 0, 0, 0, -3),
-    (4, 0, 0, 1, 2),
-    (6, 0, 0, 2, 1),
-    (6, 0, 0, 1, -4),
-    (5, 0, 0, 1, -4),
-    (6, 0, 2, 0, 1),
-    (6, 0, 1, 0, -4),
-    (5, 0, 1, 0, -4),
-    (6, 0, 0, 0, 4),
-    (5, 0, 0, 0, 8),
-    (6, 0, 1, 1, 6),
-    (6, 0, 1, 2, -2),
-    (5, 0, 1, 2, 2),
-    (6, 0, 2, 1, -2),
-    (5, 0, 2, 1, 2),
-    (6, 0, 2, 2, 1),
-    (5, 0, 2, 2, -2),
-    (4, 0, 2, 2, 1),
-    (3, 0, 0, 1, -2),
-    (4, 0, 1, 0, 2),
-    (3, 0, 1, 0, -2),
-    (1, 0, 0, 0, -2),
-)
+def _cached(fn):
+    """lru_cache keyed on every argument, omitted defaults filled in, so that
+    f(v, n) and f(v, n, None, None) share one entry."""
+    cached = functools.lru_cache(maxsize=CACHE_SIZE, typed=True)(fn)
+    signature = inspect.signature(fn)
 
-_SKEW_KERNEL_SUM_TERMS = (
-    (0, 0, 0, 0, 1),
-    (1, 0, 0, 0, -1),
-    (2, 0, 0, 0, 2),
-    (3, 0, 0, 0, 2),
-    (3, 0, 1, 0, -1),
-    (3, 0, 0, 1, -1),
-    (2, 0, 1, 1, -1),
-    (3, 0, 1, 1, 1),
-)
+    @functools.wraps(fn)
+    def lookup(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
 
 
 def _terms_at(
@@ -631,43 +596,39 @@ def _terms_at(
     return Series(tuple(p.substitute(u, sigma, tau) for p in coeffs), order)
 
 
-def _plain_cubic(
-    z1_coeff: int, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
-) -> Series:
-    terms = ((0, 0, 0, 0, 1), (1, 0, 0, 0, z1_coeff)) + _PLAIN_CUBIC_TAIL
-    return _terms_at(order, terms, sigma, tau)
+# a, the constant term of Q/z: the one number the two variants' constants
+# differ by
+_A = {Variant.PLAIN: 1, Variant.SKEW: 2}
 
 
-def kernel_radicand(variant: Variant, order: int) -> Series:
-    """The polynomial under the square root of the discriminant."""
-    if variant is Variant.PLAIN:
-        return _plain_cubic(-3, order) * _plain_cubic(1, order)
-    return Series.from_terms(order, _SKEW_RADICAND_TERMS)
+def _kernel_constants(
+    variant: Variant, order: int, sigma: Optional[Rat], tau: Optional[Rat]
+) -> tuple[Series, Series, Series, Series]:
+    """P, Q/z, N and z^2*D, with numeric sigma and tau put in."""
+    a = _A[variant]
+    e = ((0, 0, a), (1, 0, -1), (0, 1, -1), (1, 1, 1))  # E = a - s - t + s*t
+    p = [(0, 0, 0, 0, 1), (1, 0, 0, 0, -1), (2, 0, 0, 0, a), (2, 0, 1, 1, -1)]
+    p += [(3, 0, es, et, c) for es, et, c in e]
+    q = [(0, 0, 0, 0, a), (2, 0, 1, 1, 1 - a)]
+    n = [(0, 0, 0, 0, 1)] + [(2, 0, es, et, -c) for es, et, c in e]
+    z2d = [(2, 0, 0, 0, a), (2, 0, 1, 0, -1)]
+    return tuple(_terms_at(order, t, sigma, tau) for t in (p, q, n, z2d))
 
 
 def kernel_sum(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> Series:
     """P = z*r1 + z*r2, the linear coefficient of the kernel quadratic."""
-    if variant is Variant.PLAIN:
-        return _plain_cubic(-1, order, sigma, tau)
-    return _terms_at(order, _SKEW_KERNEL_SUM_TERMS, sigma, tau)
+    return _kernel_constants(variant, order, sigma, tau)[0]
 
 
-# a, the constant term of Q/z = a - (a-1)*s*t*z^2 (1 plain, 2 skew), where Q
-# is the constant coefficient of the kernel quadratic
-_A = {Variant.PLAIN: 1, Variant.SKEW: 2}
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+@_cached
 def _kernel_rho(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> Series:
     # rho = r2/z by the coefficient recurrence above
-    p = kernel_sum(variant, order, sigma, tau).coefficients()
-    a = _A[variant]
-    q = _terms_at(order, [(0, 0, 0, 0, a), (2, 0, 1, 1, 1 - a)], sigma, tau)
-    q = q.coefficients()
+    p, q, _, _ = _kernel_constants(variant, order, sigma, tau)
+    p, q = p.coefficients(), q.coefficients()
     rho: list[Poly] = []
     for n in range(order + 1):
         acc = dict(q[n]._terms)
@@ -707,69 +668,6 @@ def kernel_zr1(
     return kernel_sum(variant, order, sigma, tau) - _z2_rho(variant, order, sigma, tau)
 
 
-def _cached(fn):
-    """lru_cache keyed on every argument, omitted defaults filled in, so that
-    f(v, n) and f(v, n, None, None) share one entry."""
-    cached = functools.lru_cache(maxsize=CACHE_SIZE, typed=True)(fn)
-    signature = inspect.signature(fn)
-
-    @functools.wraps(fn)
-    def lookup(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
-
-    lookup.cache_info = cached.cache_info
-    lookup.cache_clear = cached.cache_clear
-    return lookup
-
-
-def _n_and_z2d(
-    variant: Variant, order: int, sigma: Optional[Rat], tau: Optional[Rat]
-) -> tuple[Series, Series]:
-    """N = 1 - z^2*((1-s)*(1-t) + a - 1) and z^2*D = z^2*(a - s)."""
-    a = _A[variant]
-    n = [(0, 0, 0, 0, 1), (2, 0, 0, 0, -a), (2, 0, 1, 0, 1), (2, 0, 0, 1, 1),
-         (2, 0, 1, 1, -1)]
-    z2d = [(2, 0, 0, 0, a), (2, 0, 1, 0, -1)]
-    return _terms_at(order, n, sigma, tau), _terms_at(order, z2d, sigma, tau)
-
-
-@dataclass(frozen=True)
-class BoundaryValues:
-    """The u=0 values of the layer generating functions and their total c0."""
-
-    variant: Variant
-    order: int
-    g0: Series
-    h0: Series
-    k0: Optional[Series]
-    c0: Series
-
-
-@_cached
-def boundary_values(
-    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
-) -> BoundaryValues:
-    """The u=0 layer values, from one division by a series with constant term 1.
-
-    The u=0 total C0 = G(0)+H(0)(+K(0)) solves C0 * (z*r1 - z^2*D) = N, the
-    u=0 instance of the total's formula (see the kernel pipeline comment).
-    Then G(0) = 1 + z*C0; in the skew variant K(0) = z^2*(C0 - 1)/(z*r1);
-    H(0) is what remains of C0.  Numeric sigma and tau are substituted
-    first, as in the whole pipeline.
-    """
-    zr1 = kernel_zr1(variant, order, sigma, tau)
-    num, z2d = _n_and_z2d(variant, order, sigma, tau)
-    one = Series.one(order)
-    c0 = num / (zr1 - z2d)
-    g0 = one + c0.shift_up(1).prefix(order)
-    if variant is Variant.PLAIN:
-        return BoundaryValues(variant, order, g0, c0 - g0, None, c0)
-    k0 = (c0 - one).shift_up(2).prefix(order) / zr1
-    return BoundaryValues(variant, order, g0, c0 - g0 - k0, k0, c0)
-
-
 @dataclass(frozen=True)
 class ClosedForm:
     """The grand generating function of all walks and its layers.
@@ -778,6 +676,8 @@ class ClosedForm:
     time they are read.  f: walks whose last step was U; g: empty walk or
     last step H; h: last step D; k: last step L (skew only, None
     otherwise).  c0 is the u=0 total and kernel the divisor z*r1 - z*u.
+    At u = 0 (see boundary_values) total is c0 and the layers are the
+    boundary values G(0), H(0) and K(0).
     """
 
     variant: Variant
@@ -809,6 +709,23 @@ class ClosedForm:
 
 
 @_cached
+def boundary_values(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> ClosedForm:
+    """The closed form at u = 0: total C0 and, when read, G(0), H(0), K(0).
+
+    C0 solves C0 * (z*r1 - z^2*D) = N, the u=0 instance of the total's
+    formula (see the kernel pipeline comment): one division by a series with
+    constant term 1.  At u = 0 the divisor z*r1 - z*u is z*r1.  Numeric
+    sigma and tau are substituted first, as in the whole pipeline.
+    """
+    zr1 = kernel_zr1(variant, order, sigma, tau)
+    _, _, num, z2d = _kernel_constants(variant, order, sigma, tau)
+    c0 = num / (zr1 - z2d)
+    return ClosedForm(variant, order, c0, c0, zr1, Series.zero(order))
+
+
+@_cached
 def closed_form(
     variant: Variant,
     order: int,
@@ -822,84 +739,9 @@ def closed_form(
     arithmetic with no radicals left over.  Numeric u, sigma or tau give the
     symbolic result with those values substituted.
     """
-    zr1 = kernel_zr1(variant, order, sigma, tau)
-    c0 = boundary_values(variant, order, sigma, tau).c0
-    num, z2d = _n_and_z2d(variant, order, sigma, tau)
+    bnd = boundary_values(variant, order, sigma, tau)
+    _, _, num, z2d = _kernel_constants(variant, order, sigma, tau)
     zu = _terms_at(order, [(1, 1, 0, 0, 1)], sigma, tau, u)
-    kernel = zr1 - zu
-    total = (num + z2d * c0) / kernel
-    return ClosedForm(variant, order, total, c0, kernel, zu)
-
-
-def plain_printed_boundary_identities(
-    order: int,
-) -> list[tuple[str, Series, Series]]:
-    """Cross-checks for the plain u=0 boundary values in radical form.
-
-    Each entry is (name, lhs, rhs) where lhs is the solved boundary value
-    multiplied by the closed form's denominator and rhs is the closed form's
-    numerator (which involves W), so equality avoids dividing by a non-unit.
-    """
-    w = kernel_w(Variant.PLAIN, order)
-    bnd = boundary_values(Variant.PLAIN, order)
-    den_g = Series.from_terms(
-        order, [(1, 0, 1, 0, -2), (2, 0, 1, 0, 2), (2, 0, 0, 0, -2)]
-    )
-    rhs_g = w + Series.from_terms(
-        order,
-        [
-            (2, 0, 1, 1, 1),
-            (3, 0, 1, 1, -1),
-            (3, 0, 0, 1, 1),
-            (3, 0, 1, 0, 1),
-            (3, 0, 0, 0, -1),
-            (2, 0, 0, 0, -1),
-            (1, 0, 0, 0, 1),
-            (1, 0, 1, 0, -2),
-            (0, 0, 0, 0, -1),
-        ],
-    )
-    den_h = Series.from_terms(
-        order, [(2, 0, 1, 0, 2), (3, 0, 0, 0, 2), (3, 0, 1, 0, -2)]
-    )
-    rhs_h = (
-        w.shift_up(1)
-        - w
-        + Series.from_terms(
-            order,
-            [
-                (2, 0, 1, 1, -1),
-                (3, 0, 1, 1, 2),
-                (3, 0, 0, 1, -1),
-                (4, 0, 1, 1, -1),
-                (4, 0, 0, 1, 1),
-                (4, 0, 1, 0, 1),
-                (4, 0, 0, 0, -1),
-                (3, 0, 1, 0, -1),
-                (1, 0, 0, 0, -2),
-                (0, 0, 0, 0, 1),
-            ],
-        )
-    )
-    den_gh = Series.from_terms(
-        order, [(3, 0, 0, 0, -2), (2, 0, 1, 0, -2), (3, 0, 1, 0, 2)]
-    )
-    rhs_gh = w + Series.from_terms(
-        order,
-        [
-            (0, 0, 0, 0, -1),
-            (3, 0, 0, 0, -1),
-            (2, 0, 1, 1, 1),
-            (3, 0, 1, 1, -1),
-            (3, 0, 0, 1, 1),
-            (1, 0, 0, 0, 1),
-            (2, 0, 0, 0, 1),
-            (2, 0, 1, 0, -2),
-            (3, 0, 1, 0, 1),
-        ],
-    )
-    return [
-        ("G(0)", bnd.g0 * den_g, rhs_g),
-        ("H(0)", bnd.h0 * den_h, rhs_h),
-        ("G(0)+H(0)", (bnd.g0 + bnd.h0) * den_gh, rhs_gh),
-    ]
+    kernel = bnd.kernel - zu
+    total = (num + z2d * bnd.c0) / kernel
+    return ClosedForm(variant, order, total, bnd.c0, kernel, zu)

@@ -26,8 +26,8 @@ from motzkin.series import (
     kernel_r2,
     kernel_w,
     kernel_zr1,
-    plain_printed_boundary_identities,
 )
+from paper_forms import plain_printed_boundary_identities
 
 
 def criterion(number: int, description: str):
@@ -346,11 +346,11 @@ def test_criterion_8_engine_soundness():
             kernel_r2(variant, 24),
             kernel_zr1(variant, 24),
             kernel_w(variant, 24),
-            bnd.g0,
-            bnd.h0,
+            bnd.g,
+            bnd.h,
         ]
-        if bnd.k0 is not None:
-            pipeline.append(bnd.k0)
+        if bnd.k is not None:
+            pipeline.append(bnd.k)
         for index, series in enumerate(pipeline):
             for n in range(25):
                 for _, value in series.coefficient(n).terms():
