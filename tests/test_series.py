@@ -416,6 +416,7 @@ def test_boundary_values_match_closed_form_floor():
         bnd = boundary_values(variant, 8)
         closed = closed_form(variant, 8)
         assert bnd.total == closed.total.specialize(u=0)
+        assert bnd.f.is_zero()
         assert bnd.g == closed.g.specialize(u=0)
         assert bnd.h == closed.h.specialize(u=0)
         if variant is Variant.SKEW:
