@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -336,7 +336,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
     series = compute(args.engine)
     if args.format == "json":
-        print(json.dumps(series.to_json(), indent=2))
+        print(series.to_json_text())
     else:
         print(series.to_text())
     return OK
@@ -539,10 +539,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and kept: parse_args fills a
+    # fresh namespace from the defaults every time, so calls share nothing
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -31,7 +31,6 @@ holds).
 from __future__ import annotations
 
 import functools
-import inspect
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,10 +43,10 @@ Rat = Union[int, Fraction]
 
 DEFAULT_ORDER = 24
 
-# entries kept by each of the kernel, boundary and closed-form caches.  A
-# key is (variant, order, sigma, tau) (closed form: and u), typed so that a
-# float never shares the entry of an equal int and slips past the exactness
-# check.
+# entries kept by each of the kernel-constant, kernel, boundary and
+# closed-form caches.  A key is (variant, order, sigma, tau) (closed form:
+# and u), typed so that a float never shares the entry of an equal int and
+# slips past the exactness check.
 CACHE_SIZE = 32
 
 # exponent triples (e_u, e_s, e_t) are packed into one int so that monomial
@@ -97,10 +96,72 @@ def require_exact(value: Optional[Rat]) -> None:
         raise TypeError(f"values must be int or Fraction, got {type(value)!r}")
 
 
-def _term_sort_key(exps: tuple[int, int, int]):
-    # ascending total degree, then descending lexicographic with u > s > t
-    eu, es, et = exps
-    return (eu + es + et, -eu, -es, -et)
+def _display_key(key: int) -> int:
+    # ascending total degree, then descending lexicographic with u > s > t:
+    # every field fits in _SHIFT bits, so one int orders like the tuple
+    # (degree, -e_u, -e_s, -e_t)
+    eu, es, et = _unpack(key)
+    return (
+        ((eu + es + et) << (3 * _SHIFT))
+        | ((_MASK - eu) << (2 * _SHIFT))
+        | ((_MASK - es) << _SHIFT)
+        | (_MASK - et)
+    )
+
+
+def _display_entry(key: int) -> tuple[int, str, str]:
+    """Sort key, monomial text and JSON exponent block of a packed key."""
+    eu, es, et = _unpack(key)
+    names = []
+    if eu:
+        names.append("u" if eu == 1 else f"u^{eu}")
+    if es:
+        names.append("s" if es == 1 else f"s^{es}")
+    if et:
+        names.append("t" if et == 1 else f"t^{et}")
+    # the layout json.dumps(..., indent=2) gives a term of Series.to_json
+    block = (
+        f"      [\n        [\n          {eu},\n          {es},\n"
+        f'          {et}\n        ],\n        "'
+    )
+    return _display_key(key), "*".join(names), block
+
+
+def _display_rows(polys: Iterable[Poly]):
+    """Each poly's terms in display order, as (sort key, monomial text,
+    JSON exponent block, value) rows.
+
+    A memo local to the call formats each packed key once, however many of
+    the polys hold it.
+    """
+    memo: dict[int, tuple[int, str, str]] = {}
+    for poly in polys:
+        terms = poly._terms
+        for key in terms.keys() - memo.keys():
+            memo[key] = _display_entry(key)
+        rows = [(*memo[key], value) for key, value in terms.items()]
+        rows.sort()  # sort keys are distinct, so values are never compared
+        yield rows
+
+
+def _poly_text(rows) -> str:
+    if not rows:
+        return "0"
+    parts = []
+    for _, mono, _, value in rows:
+        if value < 0:
+            parts.append(" - ")
+            value = -value
+        else:
+            parts.append(" + ")
+        if not mono:
+            parts.append(str(value))
+        elif value == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{value}*{mono}")
+    parts[0] = "-" if parts[0] == " - " else ""  # the lead term's sign
+    return "".join(parts)
 
 
 class Poly:
@@ -158,9 +219,8 @@ class Poly:
 
     def terms(self) -> list[tuple[tuple[int, int, int], Rat]]:
         """Terms in display order (degree, then u > s > t descending)."""
-        items = [(_unpack(key), value) for key, value in self._terms.items()]
-        items.sort(key=lambda kv: _term_sort_key(kv[0]))
-        return items
+        keys = sorted(self._terms, key=_display_key)
+        return [(_unpack(key), self._terms[key]) for key in keys]
 
     def degrees(self) -> tuple[int, int, int]:
         """Maximum exponent of u, s, t (0, 0, 0 for the zero polynomial)."""
@@ -251,31 +311,30 @@ class Poly:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exps, value in self.terms():
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(("u", "s", "t"), exps)
-                if e
-            )
-            negative = value < 0
-            mag = -value if negative else value
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        return _poly_text(next(_display_rows((self,))))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _add_square_sum(
+    acc: dict[int, Rat], seq: list[Poly], lo: int, hi: int, negate: bool = False
+) -> None:
+    """Add sum of seq[i]*seq[j] over i + j = lo + hi, lo <= i, j <= hi, into
+    acc (negated if asked): each cross pair once, doubled, then the middle
+    square."""
+    cross: dict[int, Rat] = {}
+    while lo < hi:
+        ta, tb = seq[lo]._terms, seq[hi]._terms
+        if ta and tb:
+            _speedups.poly_acc(cross, ta, tb)
+        lo += 1
+        hi -= 1
+    twice = -2 if negate else 2
+    for key, value in cross.items():
+        acc[key] = acc.get(key, 0) + twice * value
+    if lo == hi and seq[lo]._terms:
+        _speedups.poly_acc(acc, seq[lo]._terms, seq[lo]._terms, negate)
 
 
 class Series:
@@ -445,8 +504,7 @@ class Series:
         root: list[Poly] = [Poly.one()]
         for n in range(1, self.order + 1):
             acc = dict(self._coeffs[n]._terms)
-            for k in range(1, n):
-                _speedups.poly_acc(acc, root[k]._terms, root[n - k]._terms, True)
+            _add_square_sum(acc, root, 1, n - 1, negate=True)
             root.append(Poly._raw(_speedups.clean_terms(acc)).scale(half))
         return Series(tuple(root), self.order)
 
@@ -479,7 +537,25 @@ class Series:
     __hash__ = None  # type: ignore[assignment]
 
     def to_text(self) -> str:
-        return "\n".join(f"z^{n}: {p}" for n, p in enumerate(self._coeffs))
+        return "\n".join(
+            f"z^{n}: {_poly_text(rows)}"
+            for n, rows in enumerate(_display_rows(self._coeffs))
+        )
+
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json(), indent=2), written without building
+        the nested lists."""
+        blocks = []
+        for rows in _display_rows(self._coeffs):
+            if not rows:
+                blocks.append("    []")
+                continue
+            terms = ",\n".join(
+                f'{block}{value}"\n      ]' for _, _, block, value in rows
+            )
+            blocks.append(f"    [\n{terms}\n    ]")
+        coeffs = ",\n".join(blocks)
+        return f'{{\n  "order": {self.order},\n  "coeffs": [\n{coeffs}\n  ]\n}}'
 
     def to_json(self) -> dict:
         return {
@@ -571,13 +647,26 @@ def _cached(fn):
     """lru_cache keyed on every argument, omitted defaults filled in, so that
     f(v, n) and f(v, n, None, None) share one entry."""
     cached = functools.lru_cache(maxsize=CACHE_SIZE, typed=True)(fn)
-    signature = inspect.signature(fn)
+    code = fn.__code__
+    names = code.co_varnames[: code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    first_default = len(names) - len(defaults)
 
     @functools.wraps(fn)
     def lookup(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
+        if kwargs or len(args) < len(names):
+            filled = list(args)
+            for i in range(len(args), len(names)):
+                if names[i] in kwargs:
+                    filled.append(kwargs.pop(names[i]))
+                elif i >= first_default:
+                    filled.append(defaults[i - first_default])
+                else:
+                    raise TypeError(f"{fn.__name__}() missing argument {names[i]!r}")
+            if kwargs:
+                raise TypeError(f"{fn.__name__}() got unexpected {sorted(kwargs)}")
+            args = tuple(filled)
+        return cached(*args)
 
     lookup.cache_info = cached.cache_info
     lookup.cache_clear = cached.cache_clear
@@ -601,6 +690,7 @@ def _terms_at(
 _A = {Variant.PLAIN: 1, Variant.SKEW: 2}
 
 
+@_cached
 def _kernel_constants(
     variant: Variant, order: int, sigma: Optional[Rat], tau: Optional[Rat]
 ) -> tuple[Series, Series, Series, Series]:
@@ -632,8 +722,7 @@ def _kernel_rho(
     rho: list[Poly] = []
     for n in range(order + 1):
         acc = dict(q[n]._terms)
-        for i in range(n - 1):
-            _speedups.poly_acc(acc, rho[i]._terms, rho[n - 2 - i]._terms)
+        _add_square_sum(acc, rho, 0, n - 2)
         for k in range(1, n + 1):
             tp = p[k]._terms
             if tp:

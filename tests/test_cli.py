@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import motzkin
+from motzkin import cli
 from motzkin.cli import (
     ANCHORS,
     align_terms,
@@ -17,6 +18,7 @@ from motzkin.cli import (
 )
 from motzkin.paths import Variant
 from motzkin.series import Series, closed_form
+from reference_output import series_json_text, series_text
 
 MOTZKIN_12 = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798]
 
@@ -191,6 +193,20 @@ def test_series_rational_values_match_full_closed_form(capsys):
             )
             assert rc == 0
             assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("sigma", ["sym", "1/2"])
+def test_series_prints_the_reference_bytes(capsys, variant, sigma):
+    value = None if sigma == "sym" else Fraction(sigma)
+    total = closed_form(variant, 12, value).total
+    for fmt, build in (("text", series_text), ("json", series_json_text)):
+        rc, out, _ = run(
+            capsys, "series", "--variant", variant.value, "--order", "12",
+            "--sigma", sigma, "--format", fmt,
+        )
+        assert rc == 0
+        assert out == build(total) + "\n"
 
 
 def test_series_rejects_bad_value(capsys):
@@ -518,6 +534,36 @@ def test_oeis_help_documents_label_caveat(capsys):
     rc, out, _ = run(capsys, "oeis", "--help")
     assert rc == 0
     assert "valleys" in out and "peaks" in out
+
+
+def test_main_back_to_back_matches_separate_calls(capsys, monkeypatch):
+    # one parser serves every call of a process; a call must not see the
+    # options, errors or defaults of the one before it
+    monkeypatch.setenv("MOTZKIN_ORDER", "3")
+    calls = [
+        ("series", "--order", "2", "--u", "1", "--format", "json"),
+        ("series",),
+        ("count", "--n", "3", "--format", "csv"),
+        ("bogus",),
+        ("series", "--order", "-1"),
+        ("series", "--variant", "skew", "--order", "2", "--engine", "dp"),
+        ("paths", "--n", "3", "--count-only"),
+        ("bargraph", "--columns", "1,2"),
+        ("check", "--variant", "plain", "--max-n", "4"),
+        ("oeis", "--id", "A001006"),
+        ("series", "--sigma", "1/2"),
+    ]
+    separate = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        separate.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    together = [run(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert together == separate
+    assert [rc for rc, _, _ in together] == [0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]
+    # --order and --u set in the first call are back to their defaults
+    assert together[1][1] == closed_form(Variant.PLAIN, 3).total.to_text() + "\n"
 
 
 def test_deterministic_output(capsys):

@@ -22,6 +22,7 @@ from motzkin.paths import (
     to_bargraph,
 )
 from motzkin.series import Poly, Series
+from reference_output import series_json_text, series_text
 
 derandomized = settings(
     derandomize=True, database=None, deadline=None, max_examples=60
@@ -41,6 +42,22 @@ def series(draw):
 
 
 values = st.none() | rationals
+
+# ints and Fractions of both signs, exponents 0 to 3
+coefficients = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.integers(2, 5))
+output_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    coefficients,
+    max_size=6,
+).map(lambda terms: Poly(list(terms.items())))
+
+
+@derandomized
+@given(st.lists(output_polys, min_size=1, max_size=6))
+def test_series_output_is_the_reference_bytes(coeffs):
+    s = Series(coeffs)
+    assert s.to_text() == series_text(s)
+    assert s.to_json_text() == series_json_text(s)
 
 
 @derandomized

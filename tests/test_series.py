@@ -20,6 +20,7 @@ from motzkin.series import (
     specialize,
 )
 from paper_forms import kernel_radicand, plain_printed_boundary_identities
+from reference_output import poly_text, series_json, series_json_text, series_text
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323]
 SKEW_EXCURSIONS = [1, 1, 2, 5, 13, 35, 97, 275, 794]
@@ -307,6 +308,38 @@ def test_json_round_trip():
     assert all(isinstance(v, str) for v in text_values)
 
 
+HALF = Fraction(1, 2)
+EMITTER_CASES = {
+    "order-0": Series.one(0),
+    "zero": Series.zero(3),
+    "empty-between": Series.from_terms(
+        4, [(0, 0, 0, 0, -1), (3, 1, 0, 0, 1), (3, 0, 0, 0, -1)]
+    ),
+    "units-and-signs": Series.from_terms(2, [
+        (0, 1, 0, 0, 1), (0, 0, 1, 0, -1), (0, 0, 0, 0, -1),
+        (1, 2, 0, 3, -7), (1, 0, 0, 0, 5), (1, 1, 1, 1, 1),
+        (2, 0, 2, 1, -1), (2, 0, 0, 0, 1),
+    ]),
+    "fractions": Series.from_terms(3, [
+        (0, 0, 0, 0, HALF), (0, 1, 1, 1, Fraction(-3, 4)),
+        (1, 0, 0, 0, Fraction(-1, 3)), (1, 3, 0, 1, Fraction(5, 2)),
+        (2, 1, 0, 0, -HALF), (3, 0, 0, 2, Fraction(7, 3)),
+    ]),
+    "plain-closed-form": closed_form(Variant.PLAIN, 10).total,
+    "skew-closed-form-half": closed_form(Variant.SKEW, 8, HALF).total,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMITTER_CASES))
+def test_emitters_match_the_reference_builders(name):
+    s = EMITTER_CASES[name]
+    assert s.to_text() == series_text(s)
+    assert s.to_json_text() == series_json_text(s)
+    assert s.to_json() == series_json(s)
+    for p in s.coefficients():
+        assert str(p) == poly_text(p)
+
+
 # ---------------------------------------------------------------------------
 # kernel arithmetic
 
@@ -473,10 +506,25 @@ def test_omitted_defaults_share_one_cache_entry():
     dp_series(5, Variant.PLAIN, None, None, None)
     dp_series(order=5, variant=Variant.PLAIN, sigma=None)
     assert dp_series.cache_info().misses == 1
+    with pytest.raises(TypeError):
+        closed_form(Variant.PLAIN)
+    with pytest.raises(TypeError):
+        closed_form(Variant.PLAIN, 5, rho=None)
+    with pytest.raises(TypeError):
+        closed_form(Variant.PLAIN, 5, variant=Variant.PLAIN)
+
+
+def test_cold_closed_form_builds_the_kernel_constants_once():
+    constants = series_module._kernel_constants
+    for cache in (constants, series_module._kernel_rho, boundary_values, closed_form):
+        cache.cache_clear()
+    closed_form(Variant.SKEW, 6, Fraction(1, 2))
+    assert constants.cache_info().misses == 1
 
 
 def test_pipeline_caches_are_bounded():
-    caches = (series_module._kernel_rho, boundary_values, closed_form, dp_series)
+    caches = (series_module._kernel_constants, series_module._kernel_rho,
+              boundary_values, closed_form, dp_series)
     for variant in Variant:
         for sigma in range(CACHE_SIZE + 1):
             closed_form(variant, 2, sigma)
