@@ -388,7 +388,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.variant == "both"
         else [Variant(args.variant)]
     )
-    results: list[CheckResult] = []
+    # every bound is checked before any suite runs
+    sizes = []
     for variant in variants:
         cap = CHECK_MAX_N[variant]
         max_n = args.max_n if args.max_n is not None else cap
@@ -396,6 +397,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--max-n {max_n} out of bounds for {variant.value} (0..{cap})"
             )
+        sizes.append((variant, max_n))
+    results: list[CheckResult] = []
+    for variant, max_n in sizes:
         results.extend(run_checks(variant, max_n))
     for result in results:
         print(result.line())

@@ -85,6 +85,35 @@ def _check_length(n: int, allow_large: bool) -> None:
         )
 
 
+def _successors(
+    variant: Variant, forbid_ud: bool, forbid_du: bool
+) -> dict[Step | None, tuple[tuple[Step, int], ...]]:
+    """The steps that may follow each last step (None before the first), with
+    their level changes, in U < D < H < L order.
+
+    These are the adjacency rules: L only in the skew variant and never next
+    to U, and no UD / DU factor when that filter is on.  Whether the level
+    stays nonnegative is left to the search.
+    """
+    skew = variant is Variant.SKEW
+    alphabet = _SKEW_STEPS if skew else _PLAIN_STEPS
+    table = {}
+    for last in (None,) + alphabet:
+        row = []
+        for step in alphabet:
+            if step is Step.U and (
+                (skew and last is Step.L) or (forbid_du and last is Step.D)
+            ):
+                continue
+            if step is Step.D and forbid_ud and last is Step.U:
+                continue
+            if step is Step.L and last is Step.U:
+                continue
+            row.append((step, step.delta))
+        table[last] = tuple(row)
+    return table
+
+
 def enumerate_paths(
     n: int,
     variant: Variant,
@@ -102,41 +131,35 @@ def enumerate_paths(
     ending at level 0.
     """
     _check_length(n, allow_large)
-    alphabet = _PLAIN_STEPS if variant is Variant.PLAIN else _SKEW_STEPS
-    skew = variant is Variant.SKEW
-    prefix: list[Step] = []
+    return _walk(n, _successors(variant, forbid_ud, forbid_du), excursions_only)
 
-    def walk(depth: int, level: int) -> Iterator[PathWord]:
-        if depth == n:
-            yield PathWord(tuple(prefix))
-            return
-        last = prefix[-1] if prefix else None
-        for step in alphabet:
-            if step is Step.U:
-                if skew and last is Step.L:
-                    continue
-                if forbid_du and last is Step.D:
-                    continue
-                new_level = level + 1
-            elif step is Step.D:
-                if level == 0:
-                    continue
-                if forbid_ud and last is Step.U:
-                    continue
-                new_level = level - 1
-            elif step is Step.H:
-                new_level = level
-            else:
-                if level == 0 or last is Step.U:
-                    continue
-                new_level = level - 1
-            if excursions_only and new_level > n - depth - 1:
-                continue
-            prefix.append(step)
-            yield from walk(depth + 1, new_level)
-            prefix.pop()
 
-    return walk(0, 0)
+def _walk(
+    n: int, successors: dict, excursions_only: bool
+) -> Iterator[PathWord]:
+    # One depth-first search on an explicit stack of pending prefixes, each
+    # with its level and last step.  Children are pushed in reverse so they
+    # pop in order; the words themselves are yielded by their parent.
+    if n == 0:
+        yield PathWord(())
+        return
+    stack: list[tuple[tuple[Step, ...], int, int, Step | None]] = [
+        ((), 0, 0, None)
+    ]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        prefix, depth, level, last = pop()
+        # an excursion must be able to walk back down in the steps left
+        top = n - depth - 1 if excursions_only else n
+        if depth == n - 1:
+            for step, delta in successors[last]:
+                if 0 <= level + delta <= top:
+                    yield PathWord(prefix + (step,))
+        else:
+            for step, delta in reversed(successors[last]):
+                if 0 <= level + delta <= top:
+                    push((prefix + (step,), depth + 1, level + delta, step))
 
 
 def count_table(
@@ -144,30 +167,57 @@ def count_table(
 ) -> CountTable:
     """Count all valid words of length <= n_max by brute-force search.
 
-    A depth-first search visits every valid word once, applying the
-    word-level rules directly: the level stays nonnegative, and L appears
-    only in the skew variant and never next to U.  Steps are coded as
-    0=U, 1=D, 2=H, 3=L (-1 before the first step).
+    A depth-first search visits every valid word once and adds 1 to its
+    slot, applying the word-level rules directly: the level stays
+    nonnegative, and L appears only in the skew variant and never next to
+    U.  The counts live in a flat list indexed by the packed key
+    (length, level, #UD, #DU); level <= n_max and #UD, #DU <= n_max // 2,
+    so each step moves the index by a fixed offset.
     """
     _check_length(n_max, allow_large)
     skew = variant is Variant.SKEW
-    counts: dict[tuple[int, int, int, int], int] = {}
+    k = n_max // 2 + 1
+    per_level = k * k
+    per_length = (n_max + 1) * per_level
+    # moves[level > 0][last] holds (step, level change, index offset), steps
+    # coded 0=U, 1=D, 2=H, 3=L and 4 before the first step
+    moves = ([], [])
+    for positive in (0, 1):
+        for last in range(5):
+            row = []
+            if not (skew and last == 3):
+                row.append((0, 1, per_length + per_level + (last == 1)))
+            if positive:
+                row.append((1, -1, per_length - per_level + k * (last == 0)))
+            row.append((2, 0, per_length))
+            if skew and positive and last != 0:
+                row.append((3, -1, per_length - per_level))
+            moves[positive].append(tuple(row))
+    counts = [0] * ((n_max + 1) * per_length)
+    penultimate = (n_max - 1) * per_length  # first word of length n_max - 1
 
-    def visit(depth: int, level: int, last: int, ud: int, du: int) -> None:
-        key = (depth, level, ud, du)
-        counts[key] = counts.get(key, 0) + 1
-        if depth == n_max:
+    def visit(index: int, level: int, last: int) -> None:
+        # count the word at index and its children: those of length n_max
+        # in this frame, the others in their own
+        counts[index] += 1
+        if index >= penultimate:
+            for _, _, offset in moves[level > 0][last]:
+                counts[index + offset] += 1
             return
-        if not (skew and last == 3):
-            visit(depth + 1, level + 1, 0, ud, du + (last == 1))
-        if level > 0:
-            visit(depth + 1, level - 1, 1, ud + (last == 0), du)
-        visit(depth + 1, level, 2, ud, du)
-        if skew and level > 0 and last != 0:
-            visit(depth + 1, level - 1, 3, ud, du)
+        for step, delta, offset in moves[level > 0][last]:
+            visit(index + offset, level + delta, step)
 
-    visit(0, 0, -1, 0, 0)
-    return CountTable(variant, n_max, counts)
+    if n_max == 0:
+        counts[0] = 1
+    else:
+        visit(0, 0, 4)
+    entries = {}
+    for index, count in enumerate(counts):
+        if count:
+            n, rest = divmod(index, per_length)
+            j, rest = divmod(rest, per_level)
+            entries[(n, j) + divmod(rest, k)] = count
+    return CountTable(variant, n_max, entries)
 
 
 def enumerate_bargraphs(
@@ -188,18 +238,25 @@ def enumerate_bargraphs(
             f"{MAX_SEMIPERIMETER} (pass allow_large=True / --unbounded to "
             "override)"
         )
-    columns: list[int] = []
+    return _grow(semiperimeter)
 
-    def grow(used: int, last: int) -> Iterator[Bargraph]:
-        if used == semiperimeter and columns:
-            yield Bargraph(tuple(columns))
-            return
-        for h in range(1, last + semiperimeter - used):
-            cost = 1 + max(0, h - last)
-            if used + cost > semiperimeter:
-                continue
-            columns.append(h)
-            yield from grow(used + cost, h)
-            columns.pop()
 
-    return grow(0, 0)
+def _grow(semiperimeter: int) -> Iterator[Bargraph]:
+    # One depth-first search on an explicit stack of pending column
+    # prefixes, each with the semiperimeter it uses and its last height.
+    # Heights stop at last + semiperimeter - used - 1, whose cost uses up
+    # the rest exactly, so no child overshoots.
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        columns, used, last = pop()
+        if used == semiperimeter:
+            yield Bargraph(columns)
+        elif used == semiperimeter - 1:
+            # only columns no higher than the last one fit
+            for h in range(1, last + 1):
+                yield Bargraph(columns + (h,))
+        else:
+            for h in range(last + semiperimeter - used - 1, 0, -1):
+                push((columns + (h,), used + 1 + max(0, h - last), h))

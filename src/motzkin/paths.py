@@ -16,7 +16,8 @@ path and reading off the column heights, which is implemented here as
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 
@@ -64,25 +65,34 @@ class PatternStats(NamedTuple):
 
 @dataclass(frozen=True)
 class PathWord:
-    """An immutable step sequence with cached level data.
+    """An immutable step sequence with lazily cached level data.
 
-    ``end_level`` and ``min_level`` are computed once at construction; they do
-    not participate in equality or hashing.
+    ``end_level`` and ``min_level`` are computed together, in one walk, the
+    first time either is read; they do not participate in equality, hashing
+    or repr.
     """
 
     steps: tuple[Step, ...]
-    end_level: int = field(init=False, compare=False, repr=False)
-    min_level: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @property
+    def end_level(self) -> int:
+        """The level after the last step."""
+        return self._levels[0]
+
+    @property
+    def min_level(self) -> int:
+        """The lowest level reached, counting the start at 0."""
+        return self._levels[1]
+
+    @cached_property
+    def _levels(self) -> tuple[int, int]:
         lvl = 0
         low = 0
         for s in self.steps:
             lvl += _LETTER_DELTA[s._value_]
             if lvl < low:
                 low = lvl
-        object.__setattr__(self, "end_level", lvl)
-        object.__setattr__(self, "min_level", low)
+        return lvl, low
 
     @classmethod
     def parse(cls, text: str) -> "PathWord":

@@ -378,6 +378,15 @@ def test_check_bound_error(capsys):
     assert "out of bounds" in err
 
 
+def test_check_rejects_a_bound_before_running_any_suite(capsys, monkeypatch):
+    # 13 is within the plain cap and over the skew cap
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *args: ran.append(args) or [])
+    rc, out, err = run(capsys, "check", "--max-n", "13")
+    assert (rc, out, ran) == (2, "", [])
+    assert err == "error: --max-n 13 out of bounds for skew (0..12)\n"
+
+
 # ---------------------------------------------------------------------------
 # oeis
 

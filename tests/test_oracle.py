@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from motzkin import oracle
+from motzkin.cli import CHECK_MAX_N
 from motzkin.oracle import (
     MAX_PATH_LEN,
     MAX_SEMIPERIMETER,
@@ -15,6 +16,7 @@ from motzkin.oracle import (
     enumerate_paths,
 )
 from motzkin.paths import PathClass, Variant, classify, pattern_stats
+import reference_oracle
 
 MEANDER_TOTALS = {
     Variant.PLAIN: [1, 2, 5, 13, 35, 96, 267, 750, 2123],
@@ -24,8 +26,18 @@ EXCURSION_TOTALS = {
     Variant.PLAIN: [1, 1, 2, 4, 9, 21, 51, 127, 323],
     Variant.SKEW: [1, 1, 2, 5, 13, 35, 97, 275, 794],
 }
-# regression snapshot; cross-validated against the bijection image counts
-BARGRAPH_COUNTS = {2: 1, 3: 2, 4: 5, 5: 13, 6: 35, 7: 97, 8: 275, 9: 794, 10: 2327}
+# regression snapshot (A082582); cross-validated against the bijection image
+# counts and, in test_bargraphs_match_skew_excursions, the skew excursions
+BARGRAPH_COUNTS = {
+    2: 1, 3: 2, 4: 5, 5: 13, 6: 35, 7: 97, 8: 275, 9: 794, 10: 2327,
+    11: 6905, 12: 20705,
+}
+FILTERS = [
+    {"forbid_ud": ud, "forbid_du": du, "excursions_only": exc}
+    for ud in (False, True)
+    for du in (False, True)
+    for exc in (False, True)
+]
 
 
 def test_enumerate_n0():
@@ -81,6 +93,29 @@ def test_filters_match_post_filtering():
                 and pattern_stats(w).du == 0
             )
             assert got == want
+
+
+def test_enumeration_order_is_the_reference_order():
+    for variant in Variant:
+        for filters in FILTERS:
+            for n in range(11):
+                got = [w.steps for w in enumerate_paths(n, variant, **filters)]
+                want = [
+                    w.steps
+                    for w in reference_oracle.enumerate_paths(n, variant, **filters)
+                ]
+                assert got == want, (variant, filters, n)
+
+
+@pytest.mark.parametrize(
+    "variant, n_max",
+    [(v, n) for v in Variant for n in (0, 1)]
+    + [(v, CHECK_MAX_N[v]) for v in Variant],
+)
+def test_count_table_is_the_reference_table(variant, n_max):
+    assert count_table(n_max, variant).entries == (
+        reference_oracle.count_table_entries(n_max, variant)
+    )
 
 
 def test_count_table_matches_enumeration():
@@ -174,6 +209,23 @@ def test_bargraph_counts_and_validity():
         for b in graphs:
             assert b.semiperimeter == s
             assert all(h >= 1 for h in b.columns)
+
+
+def test_bargraph_order_is_the_reference_order():
+    for s in range(1, MAX_SEMIPERIMETER + 1):
+        got = [b.columns for b in enumerate_bargraphs(s)]
+        want = [b.columns for b in reference_oracle.enumerate_bargraphs(s)]
+        assert got == want, s
+
+
+def test_bargraphs_match_skew_excursions():
+    # bargraphs of semiperimeter s and skew excursions of length s - 1 are
+    # both counted by A082582
+    sizes = range(2, MAX_SEMIPERIMETER + 1)
+    table = count_table(MAX_SEMIPERIMETER - 1, Variant.SKEW)
+    counts = [sum(1 for _ in enumerate_bargraphs(s)) for s in sizes]
+    assert counts == [table.excursion_total(s - 1) for s in sizes]
+    assert counts == [BARGRAPH_COUNTS[s] for s in sizes]
 
 
 def test_bargraph_bounds():

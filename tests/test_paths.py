@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 
@@ -52,6 +53,58 @@ def test_cached_levels():
     assert word("").min_level == 0
     assert word("DU").min_level == -1
     assert word("UL").end_level == 0
+
+
+def running_levels(w):
+    levels = [0]
+    for s in w.steps:
+        levels.append(levels[-1] + {"U": 1, "D": -1, "H": 0, "L": -1}[s.value])
+    return levels
+
+
+def test_lazy_levels_match_a_running_sum():
+    rng = random.Random(10)
+    texts = ["", "DU", "UL"] + [
+        "".join(rng.choice("UDHL") for _ in range(rng.randint(0, 16)))
+        for _ in range(200)
+    ]
+    for text in texts:
+        w = word(text)
+        levels = running_levels(w)
+        assert w.end_level == levels[-1]
+        assert w.min_level == min(levels)
+
+
+def test_reading_levels_leaves_identity_alone():
+    for text in ["", "DU", "UL", "UUDHLD"]:
+        read = word(text)
+        read.min_level, read.end_level
+        fresh = word(text)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert repr(read) == f"PathWord(steps={read.steps!r})"
+
+
+class CountingWord(PathWord):
+    """A word that counts how often its levels are walked."""
+
+    walks = 0
+
+    @cached_property
+    def _levels(self):
+        type(self).walks += 1
+        return PathWord._levels.func(self)
+
+
+def test_classify_walks_a_skew_word_for_levels_once():
+    CountingWord.walks = 0
+    w = CountingWord(word("UUDLH").steps)
+    assert classify(w, Variant.SKEW) is PathClass.EXCURSION
+    assert CountingWord.walks == 1
+    assert (w.end_level, w.min_level) == (0, 0)
+    assert classify(w, Variant.SKEW) is PathClass.EXCURSION
+    assert CountingWord.walks == 1
 
 
 def test_classify_basics():

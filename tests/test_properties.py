@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkin.automata import Layer, build_automaton, dp_series, run
+from motzkin.oracle import enumerate_paths
 from motzkin.paths import (
     Bargraph,
     PathClass,
@@ -22,6 +23,7 @@ from motzkin.paths import (
     to_bargraph,
 )
 from motzkin.series import Poly, Series
+from reference_oracle import enumerate_paths as reference_paths
 from reference_output import series_json_text, series_text
 
 derandomized = settings(
@@ -139,3 +141,17 @@ def test_word_levels_and_text(text):
     assert word.end_level == levels[-1]
     assert word.min_level == min(levels)
     assert str(word) == text.upper()
+
+
+@derandomized
+@given(
+    st.sampled_from(list(Variant)),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 9),
+)
+def test_enumeration_is_the_reference_in_order(variant, ud, du, excursions, n):
+    filters = {"forbid_ud": ud, "forbid_du": du, "excursions_only": excursions}
+    got = [w.steps for w in enumerate_paths(n, variant, **filters)]
+    assert got == [w.steps for w in reference_paths(n, variant, **filters)]
