@@ -12,20 +12,25 @@ The second half of the module is the generating-function pipeline.  Its
 constants depend on the variant only through a = 1 (plain) or 2 (skew): with
 E = (1-s)*(1-t) + a - 1, the kernel quadratic's linear coefficient is
 P = 1 - z + z^2*(a - s*t) + z^3*E and the total's numerator starts from
-N = 1 - z^2*E.  The power-series root r2 = z*rho of the kernel quadratic
-comes coefficient by coefficient from rho's own quadratic (z*r1 for the
-companion root and W = P - 2*z*r2 follow by subtraction), and the grand
-total from one division, by the kernel factor z*r1 - z*u.  The same formula
-serves both variants.  The layers of walks grouped by the layer their last
-step put them in (F after an up step, G after a horizontal step or at the
-start, H after a down step, K after a left-down step) follow from the total
-and are built only when read.  The boundary values are the same closed form
-at u = 0, whose total C0 is one division by a series with constant term 1.
+N = 1 - z^2*E.  The grand total T and its u = 0 value C0 come straight
+from the functional equation, one coefficient of z at a time, with no
+series division and no kernel root: C0 from a quadratic whose linear
+coefficient has constant term 1, and T from a three-term recurrence whose
+leading coefficient is u.  Symbolically, dividing by u is a shift of the u
+exponent, and a u-free remainder (which would mean C0 does not solve its
+equation) raises.  The same formulas serve both variants.  The layers of
+walks grouped by the layer their last step put them in (F after an up step,
+G after a horizontal step or at the start, H after a down step, K after a
+left-down step) follow from the total and are built only when read; they
+divide by the kernel factor z*r1 - z*u, where z*r1 comes from the
+power-series root r2 = z*rho of the kernel quadratic, itself computed
+coefficient by coefficient from rho's own quadratic (W = P - 2*z*r2 follows
+by subtraction).  The boundary values are the same closed form at u = 0.
 Symbolically it runs in integers throughout.  Numeric u, sigma and tau go in
 before the work: they are substituted into the constants the pipeline starts
 from, so it runs on polynomials in fewer variables and gives the full result
-specialized (see the kernel pipeline comment for the formula and why it
-holds).
+specialized (see the kernel pipeline comment for the formulas and why they
+hold).
 """
 
 from __future__ import annotations
@@ -626,21 +631,40 @@ def specialize(
 #     H = (z/u)*(t*F + G + H (+ K) - C0)     (F(0) = 0: no U ends at level 0)
 #     K = (z/u)*(G + H + K - C0)             (skew; no L after U).
 # Solved, each layer is a numerator over -(z*u^2 - P*u + Q) =
-# -z*(u - r1)*(u - r2).  A layer is a power series, so its numerator vanishes
-# at u = r2, which leaves a numerator over z*r1 - z*u.  T's numerator
-# u*(N + z^2*D*C0) - Q*C0 is linear in u, hence (N + z^2*D*C0)*(u - r2), and
-#     T = (N + z^2*D*C0) / (z*r1 - z*u);
-# its u=0 instance C0*(z*r1 - z^2*D) = N gives C0.  F's numerator, once
-# divided, is z*u plus a u-free part that F(0) = 0 forces to vanish, so
-# F = z*u/(z*r1 - z*u).  Likewise K = z^2*(C0 - 1)/(z*r1 - z*u), G = 1 + z*T
-# and H is the rest of T.  The boundary values are this closed form at u = 0:
-# total C0, divisor z*r1, F(0) = 0, and the same formulas give G(0), H(0)
-# and K(0).  Nothing divides by u, and every divisor has constant term 1
-# whatever u, s and t are.  So numeric u, sigma and tau are substituted into
-# the constants the pipeline builds (P, Q/z, N, z^2*D, z*u) before it runs:
-# substituting is a ring homomorphism, so each step, and the result, is the
-# full symbolic one specialized (Banderier & Flajolet, "Basic analytic
-# combinatorics of directed lattice paths", 2002).
+# -z*(u - r1)*(u - r2).  For the total, with X = N + z^2*D*C0,
+#     (P*u - Q - z*u^2)*T = u*X - Q*C0.
+# A layer is a power series, so its numerator vanishes at u = r2, which
+# leaves a numerator over z*r1 - z*u.  T's numerator is linear in u, hence
+# X*(u - r2), and T = X/(z*r1 - z*u); its u=0 instance is
+# C0*(z*r1 - z^2*D) = N, that is C0*(P - z^2*rho - z^2*D) = N.
+#
+# The total and C0 are computed without r2 (Bousquet-Melou & Jehanne,
+# "Polynomial equations with one catalytic variable, algebraic series and
+# map enumeration", JCTB 96, 2006).  With M = P - z^2*D, the last equation
+# gives z^2*rho = M - N/C0; putting that into rho's quadratic leaves
+#     z^2*(Q/z - D*M)*C0^2 - N*(P - 2*z^2*D)*C0 + N^2 = 0.
+# The linear coefficient has constant term 1 and the quadratic one is a
+# multiple of z^2, so C0[n] needs only (C0^2)[m] for m <= n - 2 and C0[k]
+# for k < n.  The left factor of the total's equation has the z-coefficients
+#     u,  -u - a - u^2,  (a - s*t)*u,  E*u + (a-1)*s*t,
+# so T[n] = (R[n] - sum_{k=1..3} coeff_k*T[n-k]) / u, R = u*X - Q*C0.
+# Symbolically u divides R[n] - ... exactly: its u-free part is the u-free
+# part of the equation, which holds only if C0 = T(0); a remainder raises,
+# which re-checks C0 at every order.  At u = 0 the total is C0, and the
+# route never reads C0 off T's u^0 coefficient.
+#
+# F's numerator, once divided, is z*u plus a u-free part that F(0) = 0
+# forces to vanish, so F = z*u/(z*r1 - z*u).  Likewise
+# K = z^2*(C0 - 1)/(z*r1 - z*u), G = 1 + z*T and H is the rest of T.  Only
+# these layers read z*r1, and the boundary values are the same closed form
+# at u = 0: total C0, divisor z*r1, F(0) = 0, and the same formulas give
+# G(0), H(0) and K(0).  Every divisor of the layers has constant term 1, and
+# the total's recurrence divides only by u, whatever s and t are.  So numeric
+# u, sigma and tau are substituted into the constants the pipeline builds
+# before it runs: substituting is a ring homomorphism, so each step, and the
+# result, is the full symbolic one specialized (Banderier & Flajolet, "Basic
+# analytic combinatorics of directed lattice paths", 2002).  A numeric u != 0
+# is divided out as a number.
 
 
 def _cached(fn):
@@ -690,11 +714,27 @@ def _terms_at(
 _A = {Variant.PLAIN: 1, Variant.SKEW: 2}
 
 
-@_cached
-def _kernel_constants(
-    variant: Variant, order: int, sigma: Optional[Rat], tau: Optional[Rat]
-) -> tuple[Series, Series, Series, Series]:
-    """P, Q/z, N and z^2*D, with numeric sigma and tau put in."""
+_Terms = list[tuple[int, int, int, int, Rat]]
+
+
+def _times(xs: _Terms, ys: _Terms) -> _Terms:
+    """Product of two lists of (z power, e_u, e_s, e_t, coeff) terms; like
+    terms are summed when the list becomes a Series."""
+    return [
+        (z1 + z2, u1 + u2, s1 + s2, t1 + t2, c1 * c2)
+        for z1, u1, s1, t1, c1 in xs
+        for z2, u2, s2, t2, c2 in ys
+    ]
+
+
+def _shifted(xs: _Terms, coeff: Rat, dz: int = 0, du: int = 0) -> _Terms:
+    """The terms times coeff * z^dz * u^du."""
+    return [(z + dz, eu + du, es, et, coeff * c) for z, eu, es, et, c in xs]
+
+
+def _constant_terms(variant: Variant) -> tuple[_Terms, ...]:
+    """The terms of P, Q/z, N and z^2*D, then of C0's quadratic:
+    z^2*(Q/z - D*M), N*(P - 2*z^2*D) and N^2, with M = P - z^2*D."""
     a = _A[variant]
     e = ((0, 0, a), (1, 0, -1), (0, 1, -1), (1, 1, 1))  # E = a - s - t + s*t
     p = [(0, 0, 0, 0, 1), (1, 0, 0, 0, -1), (2, 0, 0, 0, a), (2, 0, 1, 1, -1)]
@@ -702,7 +742,19 @@ def _kernel_constants(
     q = [(0, 0, 0, 0, a), (2, 0, 1, 1, 1 - a)]
     n = [(0, 0, 0, 0, 1)] + [(2, 0, es, et, -c) for es, et, c in e]
     z2d = [(2, 0, 0, 0, a), (2, 0, 1, 0, -1)]
-    return tuple(_terms_at(order, t, sigma, tau) for t in (p, q, n, z2d))
+    m = p + _shifted(z2d, -1)
+    quadratic = _shifted(q, 1, 2) + _shifted(_times(z2d, m), -1)
+    linear = _times(n, p + _shifted(z2d, -2))
+    return p, q, n, z2d, quadratic, linear, _times(n, n)
+
+
+@_cached
+def _kernel_constants(
+    variant: Variant, order: int, sigma: Optional[Rat], tau: Optional[Rat]
+) -> tuple[Series, ...]:
+    """P, Q/z, N, z^2*D and C0's quadratic, linear and constant coefficients,
+    with numeric sigma and tau put in."""
+    return tuple(_terms_at(order, t, sigma, tau) for t in _constant_terms(variant))
 
 
 def kernel_sum(
@@ -712,21 +764,40 @@ def kernel_sum(
     return _kernel_constants(variant, order, sigma, tau)[0]
 
 
+def _nonzero(coeffs: Iterable[Poly], start: int = 0) -> list[tuple[int, dict]]:
+    """(z power, term dict) of the nonzero coefficients from z^start on."""
+    return [(k, c._terms) for k, c in enumerate(coeffs) if k >= start and c._terms]
+
+
+def _add_products(
+    acc: dict[int, Rat],
+    pairs: list[tuple[int, dict]],
+    seq: list[Poly],
+    n: int,
+    negate: bool = False,
+) -> None:
+    """Add the sum of terms * seq[n - j] over the (j, terms) pairs with
+    j <= n into acc (negated if asked); pairs ascend in j."""
+    for j, terms in pairs:
+        if j > n:
+            break
+        other = seq[n - j]._terms
+        if other:
+            _speedups.poly_acc(acc, terms, other, negate)
+
+
 @_cached
 def _kernel_rho(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> Series:
     # rho = r2/z by the coefficient recurrence above
-    p, q, _, _ = _kernel_constants(variant, order, sigma, tau)
-    p, q = p.coefficients(), q.coefficients()
+    p, q = _kernel_constants(variant, order, sigma, tau)[:2]
+    p_tail, q = _nonzero(p.coefficients(), 1), q.coefficients()
     rho: list[Poly] = []
     for n in range(order + 1):
         acc = dict(q[n]._terms)
         _add_square_sum(acc, rho, 0, n - 2)
-        for k in range(1, n + 1):
-            tp = p[k]._terms
-            if tp:
-                _speedups.poly_acc(acc, tp, rho[n - k]._terms, True)
+        _add_products(acc, p_tail, rho, n, negate=True)
         rho.append(Poly._raw(_speedups.clean_terms(acc)))
     return Series(tuple(rho), order)
 
@@ -757,6 +828,8 @@ def kernel_zr1(
     return kernel_sum(variant, order, sigma, tau) - _z2_rho(variant, order, sigma, tau)
 
 
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """The grand generating function of all walks and its layers.
@@ -764,17 +837,24 @@ class ClosedForm:
     total is built with the object; the layers are built from it the first
     time they are read.  f: walks whose last step was U; g: empty walk or
     last step H; h: last step D; k: last step L (skew only, None
-    otherwise).  c0 is the u=0 total and kernel the divisor z*r1 - z*u.
-    At u = 0 (see boundary_values) total is c0 and the layers are the
-    boundary values G(0), H(0) and K(0).
+    otherwise).  c0 is the u=0 total; the layers' divisor kernel,
+    z*r1 - z*u, is built the first time a layer needs it.  At u = 0 (see
+    boundary_values) total is c0 and the layers are the boundary values
+    G(0), H(0) and K(0).
     """
 
     variant: Variant
     order: int
     total: Series
     c0: Series = field(repr=False)
-    kernel: Series = field(repr=False)
     zu: Series = field(repr=False)
+    sigma: Optional[Rat] = field(default=None, repr=False)
+    tau: Optional[Rat] = field(default=None, repr=False)
+
+    @functools.cached_property
+    def kernel(self) -> Series:
+        zr1 = kernel_zr1(self.variant, self.order, self.sigma, self.tau)
+        return zr1 - self.zu
 
     @functools.cached_property
     def f(self) -> Series:
@@ -803,15 +883,75 @@ def boundary_values(
 ) -> ClosedForm:
     """The closed form at u = 0: total C0 and, when read, G(0), H(0), K(0).
 
-    C0 solves C0 * (z*r1 - z^2*D) = N, the u=0 instance of the total's
-    formula (see the kernel pipeline comment): one division by a series with
-    constant term 1.  At u = 0 the divisor z*r1 - z*u is z*r1.  Numeric
-    sigma and tau are substituted first, as in the whole pipeline.
+    C0 solves z^2*(Q/z - D*M)*C0^2 - N*(P - 2*z^2*D)*C0 + N^2 = 0 (see the
+    kernel pipeline comment), one coefficient at a time: the linear
+    coefficient has constant term 1, so C0[n] is N^2[n] plus the quadratic
+    coefficient against the squares (C0^2)[m], m <= n - 2, less the linear
+    one against C0[k], k < n.  Each square is summed once.  Numeric sigma
+    and tau are substituted first, as in the whole pipeline.
     """
-    zr1 = kernel_zr1(variant, order, sigma, tau)
-    _, _, num, z2d = _kernel_constants(variant, order, sigma, tau)
-    c0 = num / (zr1 - z2d)
-    return ClosedForm(variant, order, c0, c0, zr1, Series.zero(order))
+    quadratic, linear, square_n = (
+        s.coefficients() for s in _kernel_constants(variant, order, sigma, tau)[4:]
+    )
+    quadratic = _nonzero(quadratic, 2)  # a multiple of z^2
+    linear = _nonzero(linear, 1)  # its constant term is 1
+    c0: list[Poly] = []
+    squares: list[Poly] = []  # squares[m] = (C0^2)[m]
+    for n in range(order + 1):
+        if n >= 2:
+            acc: dict[int, Rat] = {}
+            _add_square_sum(acc, c0, 0, n - 2)
+            squares.append(Poly._raw(_speedups.clean_terms(acc)))
+        acc = dict(square_n[n]._terms)
+        _add_products(acc, quadratic, squares, n)
+        _add_products(acc, linear, c0, n, negate=True)
+        c0.append(Poly._raw(_speedups.clean_terms(acc)))
+    total = Series(tuple(c0), order)
+    return ClosedForm(variant, order, total, total, Series.zero(order), sigma, tau)
+
+
+def _total(
+    variant: Variant,
+    order: int,
+    sigma: Optional[Rat],
+    tau: Optional[Rat],
+    u: Optional[Rat],
+    c0: tuple[Poly, ...],
+) -> Series:
+    """T from (P*u - Q - z*u^2)*T = u*N + (u*z^2*D - Q)*C0, for u not 0.
+
+    The left factor's z^0 coefficient is u, so T[n] is the right side's
+    z^n coefficient less the factor's z^1..z^3 coefficients against
+    T[n-1..n-3], divided by u: symbolically a shift of the u exponent, which
+    raises if a u-free term is left (then C0 does not solve its equation).
+    """
+    p, q, num, z2d = _constant_terms(variant)[:4]
+
+    def coeffs(terms: _Terms) -> tuple[Poly, ...]:
+        return _terms_at(order, terms, sigma, tau, u).coefficients()
+
+    factor = _nonzero(
+        coeffs(_shifted(p, 1, 0, 1) + _shifted(q, -1, 1) + [(1, 2, 0, 0, -1)]), 1
+    )
+    times_c0 = _nonzero(coeffs(_shifted(z2d, 1, 0, 1) + _shifted(q, -1, 1)))
+    u_num = coeffs(_shifted(num, 1, 0, 1))
+    inverse = None if u is None else _canon(1 / Fraction(u))
+    total: list[Poly] = []
+    for n in range(order + 1):
+        acc = dict(u_num[n]._terms)
+        _add_products(acc, times_c0, c0, n)
+        _add_products(acc, factor, total, n, negate=True)
+        terms = _speedups.clean_terms(acc)
+        if inverse is not None:
+            total.append(Poly._raw(terms).scale(inverse))
+            continue
+        if any(not key & _MASK for key in terms):
+            raise ArithmeticError(
+                f"u does not divide z^{n} of the total's equation: "
+                "C0 does not solve its quadratic"
+            )
+        total.append(Poly._raw({key - 1: value for key, value in terms.items()}))
+    return Series(tuple(total), order)
 
 
 @_cached
@@ -824,13 +964,14 @@ def closed_form(
 ) -> ClosedForm:
     """The grand total (N + z^2*D*C0) / (z*r1 - z*u) and, when read, its layers.
 
-    The divisor has constant term 1, so the division is exact series
-    arithmetic with no radicals left over.  Numeric u, sigma or tau give the
+    The total comes from its three-term recurrence in z (see _total), with
+    no series division; at u = 0 it is C0.  Numeric u, sigma or tau give the
     symbolic result with those values substituted.
     """
     bnd = boundary_values(variant, order, sigma, tau)
-    _, _, num, z2d = _kernel_constants(variant, order, sigma, tau)
     zu = _terms_at(order, [(1, 1, 0, 0, 1)], sigma, tau, u)
-    kernel = bnd.kernel - zu
-    total = (num + z2d * bnd.c0) / kernel
-    return ClosedForm(variant, order, total, bnd.c0, kernel, zu)
+    if u is not None and u == 0:
+        total = bnd.c0
+    else:
+        total = _total(variant, order, sigma, tau, u, bnd.c0.coefficients())
+    return ClosedForm(variant, order, total, bnd.c0, zu, sigma, tau)

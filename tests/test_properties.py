@@ -22,7 +22,8 @@ from motzkin.paths import (
     pattern_stats,
     to_bargraph,
 )
-from motzkin.series import Poly, Series
+from motzkin.series import Poly, Series, closed_form
+import reference_kernel
 from reference_oracle import enumerate_paths as reference_paths
 from reference_output import series_json_text, series_text
 
@@ -77,6 +78,13 @@ def test_specialize_is_a_ring_homomorphism(a, b, u, sigma, tau):
 def test_dp_series_with_values_is_the_specialized_series(variant, order, u, sigma, tau):
     full = dp_series(order, variant).specialize(u=u, sigma=sigma, tau=tau)
     assert dp_series(order, variant, u, sigma, tau) == full
+
+
+@derandomized
+@given(st.sampled_from(list(Variant)), st.integers(0, 10), values, values, values)
+def test_closed_form_total_is_the_division_reference(variant, order, sigma, tau, u):
+    got = closed_form(variant, order, sigma, tau, u).total
+    assert got == reference_kernel.total(variant, order, sigma, tau, u)
 
 
 @derandomized

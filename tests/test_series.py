@@ -19,6 +19,7 @@ from motzkin.series import (
     kernel_zr1,
     specialize,
 )
+import reference_kernel
 from paper_forms import kernel_radicand, plain_printed_boundary_identities
 from reference_output import poly_text, series_json, series_json_text, series_text
 
@@ -490,6 +491,73 @@ def test_kernel_r2_ties_to_the_boundary_values():
         assert c0 == bnd.total
         inner = sigma * c0 - (sigma - Series.one(30).scale(a)) * bnd.g
         assert kernel_r2(variant, 30) == inner.shift_up(1).prefix(30)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 12])
+def test_totals_are_the_division_reference_bytes(variant, order):
+    # sigma, tau and u each in {sym, 0, 1, -1, 1/2, 3/2}
+    assert reference_kernel.grid_mismatches(variant, order) == []
+
+
+HALF, THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "variant, sigma, tau, u",
+    [
+        (Variant.PLAIN, None, None, None),
+        (Variant.SKEW, None, None, None),
+        (Variant.PLAIN, None, None, HALF),
+        (Variant.SKEW, None, None, -1),
+        (Variant.PLAIN, HALF, None, None),
+        (Variant.SKEW, None, -1, THREE_HALVES),
+        (Variant.PLAIN, 0, 0, None),
+        (Variant.SKEW, 1, HALF, None),
+        (Variant.PLAIN, 1, 1, THREE_HALVES),
+        (Variant.SKEW, HALF, -1, 1),
+        (Variant.PLAIN, -1, HALF, 0),
+        (Variant.SKEW, THREE_HALVES, 0, -1),
+    ],
+)
+def test_order_30_totals_are_the_division_reference_bytes(variant, sigma, tau, u):
+    got = closed_form(variant, 30, sigma, tau, u).total
+    assert got.to_text() == reference_kernel.total(variant, 30, sigma, tau, u).to_text()
+    got = boundary_values(variant, 30, sigma, tau).total
+    assert got.to_text() == reference_kernel.c0(variant, 30, sigma, tau).to_text()
+
+
+def test_total_takes_no_division_product_or_kernel_root(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the total's route took a series division, "
+                             "product or kernel root")
+
+    for name in ("div", "__mul__", "__truediv__", "sqrt"):
+        monkeypatch.setattr(Series, name, refuse)
+    monkeypatch.setattr(series_module, "_kernel_rho", refuse)
+    for value in vars(series_module).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    for variant in Variant:
+        for args in ((), (HALF, -1, None), (None, None, THREE_HALVES)):
+            closed = closed_form(variant, 12, *args)
+            assert closed.total.coefficient(0) == Poly.one()
+            assert "kernel" not in vars(closed)  # built only for the layers
+
+
+def test_symbolic_u_rechecks_c0_at_every_order(monkeypatch):
+    bnd = boundary_values(Variant.SKEW, 12)
+    coeffs = list(bnd.c0.coefficients())
+    coeffs[7] = coeffs[7] + poly({(0, 1, 2): 1})  # one term off
+    wrong = Series(coeffs, 12)
+    broken = series_module.ClosedForm(Variant.SKEW, 12, wrong, wrong, bnd.zu)
+    monkeypatch.setattr(series_module, "boundary_values", lambda *args: broken)
+    closed_form.cache_clear()
+    with pytest.raises(ArithmeticError, match="z\\^8"):
+        closed_form(Variant.SKEW, 12)
+    # a numeric u has no u-free part to check; it divides by the number
+    closed_form(Variant.SKEW, 12, None, None, 2)
+    closed_form.cache_clear()
 
 
 def test_omitted_defaults_share_one_cache_entry():
