@@ -22,10 +22,10 @@ equation) raises.  The same formulas serve both variants.  The layers of
 walks grouped by the layer their last step put them in (F after an up step,
 G after a horizontal step or at the start, H after a down step, K after a
 left-down step) follow from the total and are built only when read; they
-divide by the kernel factor z*r1 - z*u, where z*r1 comes from the
-power-series root r2 = z*rho of the kernel quadratic, itself computed
-coefficient by coefficient from rho's own quadratic (W = P - 2*z*r2 follows
-by subtraction).  The boundary values are the same closed form at u = 0.
+divide by the kernel factor z*r1 - z*u, where z*r1 = N/C0 + z^2*D is one
+series division by C0 (the power-series root r2 = (P - z*r1)/z and
+W = 2*z*r1 - P follow by subtraction).  The boundary values are the same
+closed form at u = 0.
 Symbolically it runs in integers throughout.  Numeric u, sigma and tau go in
 before the work: they are substituted into the constants the pipeline starts
 from, so it runs on polynomials in fewer variables and gives the full result
@@ -48,10 +48,10 @@ Rat = Union[int, Fraction]
 
 DEFAULT_ORDER = 24
 
-# entries kept by each of the kernel-constant, kernel, boundary and
-# closed-form caches.  A key is (variant, order, sigma, tau) (closed form:
-# and u), typed so that a float never shares the entry of an equal int and
-# slips past the exactness check.
+# entries kept by each of the boundary, closed-form and DP caches.  A key is
+# (variant, order, sigma, tau) (closed form and DP: and u), typed so that a
+# float never shares the entry of an equal int and slips past the exactness
+# check.
 CACHE_SIZE = 32
 
 # exponent triples (e_u, e_s, e_t) are packed into one int so that monomial
@@ -614,16 +614,11 @@ def specialize(
 #     Q/z = a - (a-1)*s*t*z^2
 #     N   = 1 - z^2*E
 #     D   = a - s.
-# The discriminant is W^2 = P^2 - 4*z*Q.  The power-series root
-# r2 = (P - W)/(2z) is divisible by z, and rho = r2/z solves
-#     z^2*rho^2 - P*rho + Q/z = 0.
-# P has constant term 1, so comparing coefficients of z^n gives rho one
-# coefficient at a time with integer arithmetic only:
-#     rho[n] = (Q/z)[n] + sum_{i+j=n-2} rho[i]*rho[j] - sum_{k=1..n} P[k]*rho[n-k]
-# (Prodinger, "The kernel method: a collection of examples", 2004).  The
-# companion root r1 has a 1/z pole; z*r1 = P - z*r2 is the object that
-# appears in denominators (constant term 1, so z*r1 - z*u is invertible as a
-# series), and W = P - 2*z*r2.  W^2 = P^2 - 4*z*Q is kept as a test identity.
+# The discriminant is W^2 = P^2 - 4*z*Q.  The root r2 = (P - W)/(2z) is a
+# power series divisible by z; the companion root r1 has a 1/z pole, and
+# z*r1 = P - z*r2 = (P + W)/2 is the object that appears in denominators
+# (constant term 1, so z*r1 - z*u is invertible as a series).
+# W^2 = P^2 - 4*z*Q is kept as a test identity.
 #
 # The layers obey, with T = F+G+H(+K) and C0 = T(0),
 #     F = z*u*(F + G + s*H)                  (no U after L)
@@ -636,12 +631,13 @@ def specialize(
 # A layer is a power series, so its numerator vanishes at u = r2, which
 # leaves a numerator over z*r1 - z*u.  T's numerator is linear in u, hence
 # X*(u - r2), and T = X/(z*r1 - z*u); its u=0 instance is
-# C0*(z*r1 - z^2*D) = N, that is C0*(P - z^2*rho - z^2*D) = N.
+# C0*(z*r1 - z^2*D) = N.
 #
-# The total and C0 are computed without r2 (Bousquet-Melou & Jehanne,
-# "Polynomial equations with one catalytic variable, algebraic series and
-# map enumeration", JCTB 96, 2006).  With M = P - z^2*D, the last equation
-# gives z^2*rho = M - N/C0; putting that into rho's quadratic leaves
+# The total and C0 are computed without a kernel root (Bousquet-Melou &
+# Jehanne, "Polynomial equations with one catalytic variable, algebraic
+# series and map enumeration", JCTB 96, 2006).  With M = P - z^2*D, the last
+# equation gives z*r2 = P - z*r1 = M - N/C0; putting that into the kernel
+# equation (z*r2)^2 - P*(z*r2) + z^2*(Q/z) = 0 and clearing C0^2 leaves
 #     z^2*(Q/z - D*M)*C0^2 - N*(P - 2*z^2*D)*C0 + N^2 = 0.
 # The linear coefficient has constant term 1 and the quadratic one is a
 # multiple of z^2, so C0[n] needs only (C0^2)[m] for m <= n - 2 and C0[k]
@@ -656,9 +652,11 @@ def specialize(
 # F's numerator, once divided, is z*u plus a u-free part that F(0) = 0
 # forces to vanish, so F = z*u/(z*r1 - z*u).  Likewise
 # K = z^2*(C0 - 1)/(z*r1 - z*u), G = 1 + z*T and H is the rest of T.  Only
-# these layers read z*r1, and the boundary values are the same closed form
-# at u = 0: total C0, divisor z*r1, F(0) = 0, and the same formulas give
-# G(0), H(0) and K(0).  Every divisor of the layers has constant term 1, and
+# these layers read z*r1, and they take it from C0 by one division,
+# z*r1 = N/C0 + z^2*D; C0 has constant term 1, so symbolically the quotient
+# stays in integers.  The boundary values are the same closed form at u = 0:
+# total C0, divisor z*r1, F(0) = 0, and the same formulas give G(0), H(0)
+# and K(0).  Every divisor of the layers has constant term 1, and
 # the total's recurrence divides only by u, whatever s and t are.  So numeric
 # u, sigma and tau are substituted into the constants the pipeline builds
 # before it runs: substituting is a ring homomorphism, so each step, and the
@@ -748,20 +746,11 @@ def _constant_terms(variant: Variant) -> tuple[_Terms, ...]:
     return p, q, n, z2d, quadratic, linear, _times(n, n)
 
 
-@_cached
-def _kernel_constants(
-    variant: Variant, order: int, sigma: Optional[Rat], tau: Optional[Rat]
-) -> tuple[Series, ...]:
-    """P, Q/z, N, z^2*D and C0's quadratic, linear and constant coefficients,
-    with numeric sigma and tau put in."""
-    return tuple(_terms_at(order, t, sigma, tau) for t in _constant_terms(variant))
-
-
 def kernel_sum(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> Series:
     """P = z*r1 + z*r2, the linear coefficient of the kernel quadratic."""
-    return _kernel_constants(variant, order, sigma, tau)[0]
+    return _terms_at(order, _constant_terms(variant)[0], sigma, tau)
 
 
 def _nonzero(coeffs: Iterable[Poly], start: int = 0) -> list[tuple[int, dict]]:
@@ -784,50 +773,6 @@ def _add_products(
         other = seq[n - j]._terms
         if other:
             _speedups.poly_acc(acc, terms, other, negate)
-
-
-@_cached
-def _kernel_rho(
-    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
-) -> Series:
-    # rho = r2/z by the coefficient recurrence above
-    p, q = _kernel_constants(variant, order, sigma, tau)[:2]
-    p_tail, q = _nonzero(p.coefficients(), 1), q.coefficients()
-    rho: list[Poly] = []
-    for n in range(order + 1):
-        acc = dict(q[n]._terms)
-        _add_square_sum(acc, rho, 0, n - 2)
-        _add_products(acc, p_tail, rho, n, negate=True)
-        rho.append(Poly._raw(_speedups.clean_terms(acc)))
-    return Series(tuple(rho), order)
-
-
-def _z2_rho(variant: Variant, order: int, sigma, tau) -> Series:
-    return _kernel_rho(variant, order, sigma, tau).shift_up(2).prefix(order)
-
-
-def kernel_w(
-    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
-) -> Series:
-    """The square root W of the discriminant: P - 2*z*r2, constant term +1."""
-    z2_rho = _z2_rho(variant, order, sigma, tau)
-    return kernel_sum(variant, order, sigma, tau) - z2_rho.scale(2)
-
-
-def kernel_r2(
-    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
-) -> Series:
-    """The kernel root that is a power series: (P - W)/(2z) = z*rho."""
-    return _kernel_rho(variant, order, sigma, tau).shift_up(1).prefix(order)
-
-
-def kernel_zr1(
-    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
-) -> Series:
-    """z times the companion root: P - z*r2 = (P + W)/2, constant term 1."""
-    return kernel_sum(variant, order, sigma, tau) - _z2_rho(variant, order, sigma, tau)
-
-
 
 
 @dataclass(frozen=True)
@@ -891,7 +836,8 @@ def boundary_values(
     and tau are substituted first, as in the whole pipeline.
     """
     quadratic, linear, square_n = (
-        s.coefficients() for s in _kernel_constants(variant, order, sigma, tau)[4:]
+        _terms_at(order, t, sigma, tau).coefficients()
+        for t in _constant_terms(variant)[4:]
     )
     quadratic = _nonzero(quadratic, 2)  # a multiple of z^2
     linear = _nonzero(linear, 1)  # its constant term is 1
@@ -908,6 +854,33 @@ def boundary_values(
         c0.append(Poly._raw(_speedups.clean_terms(acc)))
     total = Series(tuple(c0), order)
     return ClosedForm(variant, order, total, total, Series.zero(order), sigma, tau)
+
+
+def kernel_zr1(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
+    """z times the companion root: N/C0 + z^2*D = (P + W)/2, constant term 1."""
+    num, z2d = (
+        _terms_at(order, t, sigma, tau) for t in _constant_terms(variant)[2:4]
+    )
+    return num / boundary_values(variant, order, sigma, tau).c0 + z2d
+
+
+def kernel_r2(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
+    """The kernel root that is a power series: (P - z*r1)/z = (P - W)/(2z)."""
+    p = kernel_sum(variant, order + 1, sigma, tau)
+    z_r2 = p - kernel_zr1(variant, order + 1, sigma, tau)
+    return Series(z_r2.coefficients()[1:], order)
+
+
+def kernel_w(
+    variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
+) -> Series:
+    """The square root W of the discriminant: 2*z*r1 - P, constant term +1."""
+    zr1 = kernel_zr1(variant, order, sigma, tau)
+    return zr1.scale(2) - kernel_sum(variant, order, sigma, tau)
 
 
 def _total(

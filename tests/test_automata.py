@@ -236,9 +236,19 @@ def test_layer_series_matches_closed_form():
         )
 
 
-@pytest.mark.parametrize("u", [0, -1, Fraction(1, 2)])
-def test_layer_series_matches_closed_form_with_values_in(u):
-    sigma, tau = Fraction(3, 2), -1
+@pytest.mark.parametrize(
+    "u, sigma, tau",
+    [
+        pytest.param(0, Fraction(3, 2), -1, id="0"),
+        pytest.param(-1, Fraction(3, 2), -1, id="-1"),
+        pytest.param(Fraction(1, 2), Fraction(3, 2), -1, id="u2"),
+        # a Fraction sigma with u and tau symbolic, and the u = 0 boundary
+        # layers with sigma symbolic
+        pytest.param(None, Fraction(1, 2), None, id="sym-1/2-sym"),
+        pytest.param(0, None, -1, id="0-sym--1"),
+    ],
+)
+def test_layer_series_matches_closed_form_with_values_in(u, sigma, tau):
     for variant in Variant:
         layers = {
             layer: series.specialize(u=u, sigma=sigma, tau=tau)

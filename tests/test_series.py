@@ -482,8 +482,10 @@ def test_closed_form_structure():
 
 
 def test_kernel_r2_ties_to_the_boundary_values():
-    # the boundary values no longer read r2; this identity is what ties the
-    # root to them: r2 = z*(s*C0 - (s - a)*G0), a = 1 plain, 2 skew
+    # kernel_r2 is (P - z*r1)/z with z*r1 = N/C0 + z^2*D, a division by C0;
+    # the same root is linear in the boundary values,
+    # r2 = z*(s*C0 - (s - a)*G0), a = 1 plain, 2 skew, so the two routes
+    # from C0 must agree
     sigma = Series.constant_poly(poly({(0, 1, 0): 1}), 30)
     for variant, a in ((Variant.PLAIN, 1), (Variant.SKEW, 2)):
         bnd = boundary_values(variant, 30)
@@ -501,6 +503,15 @@ def test_totals_are_the_division_reference_bytes(variant, order):
 
 
 HALF, THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("order", [0, 1, 2, 30])
+def test_kernel_pieces_are_the_rho_reference_bytes(variant, order):
+    # the library takes z*r1 from C0 by division, the reference from rho's
+    # own recurrence; at order 0, r2 reads z*r1 at order 1
+    values = (None, 0, -1, HALF)
+    assert reference_kernel.kernel_mismatches(variant, order, values) == []
 
 
 @pytest.mark.parametrize(
@@ -534,7 +545,8 @@ def test_total_takes_no_division_product_or_kernel_root(monkeypatch):
 
     for name in ("div", "__mul__", "__truediv__", "sqrt"):
         monkeypatch.setattr(Series, name, refuse)
-    monkeypatch.setattr(series_module, "_kernel_rho", refuse)
+    for name in ("kernel_zr1", "kernel_r2", "kernel_w"):
+        monkeypatch.setattr(series_module, name, refuse)
     for value in vars(series_module).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
@@ -561,7 +573,7 @@ def test_symbolic_u_rechecks_c0_at_every_order(monkeypatch):
 
 
 def test_omitted_defaults_share_one_cache_entry():
-    for cache in (series_module._kernel_rho, boundary_values, closed_form):
+    for cache in (boundary_values, closed_form):
         cache.cache_clear()
         for args in ((Variant.PLAIN, 5), (Variant.PLAIN, 5, None, None)):
             cache(*args)
@@ -582,17 +594,26 @@ def test_omitted_defaults_share_one_cache_entry():
         closed_form(Variant.PLAIN, 5, variant=Variant.PLAIN)
 
 
-def test_cold_closed_form_builds_the_kernel_constants_once():
-    constants = series_module._kernel_constants
-    for cache in (constants, series_module._kernel_rho, boundary_values, closed_form):
+def test_cold_closed_form_builds_the_kernel_constants_once(monkeypatch):
+    # every constant series is substituted once for a cold closed form and
+    # all of its layers: no step rebuilds what another one built
+    built = []
+    terms_at = series_module._terms_at
+
+    def record(order, terms, *values):
+        built.append((order, tuple(terms), values))
+        return terms_at(order, terms, *values)
+
+    monkeypatch.setattr(series_module, "_terms_at", record)
+    for cache in (boundary_values, closed_form):
         cache.cache_clear()
-    closed_form(Variant.SKEW, 6, Fraction(1, 2))
-    assert constants.cache_info().misses == 1
+    closed = closed_form(Variant.SKEW, 6, Fraction(1, 2))
+    assert closed.h.order == closed.k.order == 6
+    assert built and len(set(built)) == len(built)
 
 
 def test_pipeline_caches_are_bounded():
-    caches = (series_module._kernel_constants, series_module._kernel_rho,
-              boundary_values, closed_form, dp_series)
+    caches = (boundary_values, closed_form, dp_series)
     for variant in Variant:
         for sigma in range(CACHE_SIZE + 1):
             closed_form(variant, 2, sigma)
