@@ -56,8 +56,7 @@ class OeisAnchor:
     integer sequence prefix.
 
     ``terms`` holds only published prefix values; longer comparisons go
-    through ``--fetch``.  ``offset`` is the position of the first term
-    within the fetched b-file data (0 until a fetch aligns it).
+    through ``--fetch``.
     """
 
     id: Optional[str]
@@ -67,8 +66,6 @@ class OeisAnchor:
     sigma: Fraction
     tau: Fraction
     terms: tuple[int, ...]
-    offset: int = 0
-    provenance: str = "builtin"
 
 
 def _anchor(id, label, variant, u, sigma, tau, terms):
@@ -308,14 +305,14 @@ def cmd_series(args: argparse.Namespace) -> int:
     tau = _parse_value(args.tau, "--tau")
 
     def compute(engine: str):
-        # numeric values go into both engines; the final specialize changes
-        # nothing then, but every returned series passes through it, which
-        # is where the perfbench tracer counts the terms handed back
+        # numeric values go into both engines; specialize() with no value
+        # walks no term, but every answer passes through it, which is where
+        # the perfbench tracer counts the terms handed back
         if engine == "dp":
             series = dp_series(order, variant, u, sigma, tau)
         else:
             series = closed_form(variant, order, sigma, tau, u).total
-        return series.specialize(u=u)
+        return series.specialize()
 
     if args.engine == "both":
         dp = compute("dp")
@@ -418,7 +415,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         if count < 1:
             raise ValueError("--terms must be positive")
         reference = embedded
-        provenance = anchor.provenance
+        provenance = "builtin"
         start = 0
         if args.fetch:
             try:

@@ -169,30 +169,36 @@ def count_table(
 
     A depth-first search visits every valid word once and adds 1 to its
     slot, applying the word-level rules directly: the level stays
-    nonnegative, and L appears only in the skew variant and never next to
-    U.  The counts live in a flat list indexed by the packed key
+    nonnegative, and the steps that may follow each step are those of
+    _successors (L only in the skew variant and never next to U).  The
+    counts live in a flat list indexed by the packed key
     (length, level, #UD, #DU); level <= n_max and #UD, #DU <= n_max // 2,
     so each step moves the index by a fixed offset.
     """
     _check_length(n_max, allow_large)
-    skew = variant is Variant.SKEW
     k = n_max // 2 + 1
     per_level = k * k
     per_length = (n_max + 1) * per_level
-    # moves[level > 0][last] holds (step, level change, index offset), steps
-    # coded 0=U, 1=D, 2=H, 3=L and 4 before the first step
-    moves = ([], [])
-    for positive in (0, 1):
-        for last in range(5):
-            row = []
-            if not (skew and last == 3):
-                row.append((0, 1, per_length + per_level + (last == 1)))
-            if positive:
-                row.append((1, -1, per_length - per_level + k * (last == 0)))
-            row.append((2, 0, per_length))
-            if skew and positive and last != 0:
-                row.append((3, -1, per_length - per_level))
-            moves[positive].append(tuple(row))
+    # moves[level > 0][last] holds (step, level change, index offset) for
+    # each step that _successors allows after last, steps coded by their
+    # place in codes (4: before the first step).  Only the level floor and
+    # the #UD / #DU counts are added here: no down step leaves level 0, and
+    # a UD or DU factor moves the index by k or 1 more.
+    codes = (Step.U, Step.D, Step.H, Step.L, None)
+    factors = {(Step.U, Step.D): k, (Step.D, Step.U): 1}
+    successors = _successors(variant, False, False)
+    moves = tuple(
+        [
+            tuple(
+                (codes.index(step), delta,
+                 per_length + delta * per_level + factors.get((last, step), 0))
+                for step, delta in successors.get(last, ())
+                if positive or delta >= 0
+            )
+            for last in codes
+        ]
+        for positive in (False, True)
+    )
     counts = [0] * ((n_max + 1) * per_length)
     penultimate = (n_max - 1) * per_length  # first word of length n_max - 1
 

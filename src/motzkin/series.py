@@ -39,7 +39,7 @@ import functools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import _speedups
 from .paths import Variant
@@ -252,12 +252,7 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if not other._terms:
-            return self
-        acc = dict(self._terms)
-        for key, value in other._terms.items():
-            acc[key] = acc.get(key, 0) - value
-        return Poly._raw(_speedups.clean_terms(acc))
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly._raw({k: -v for k, v in self._terms.items()})
@@ -265,16 +260,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        ta, tb = self._terms, other._terms
-        if not ta or not tb:
-            return Poly.zero()
-        if len(ta) == 1:
-            ((ka, va),) = ta.items()
-            return Poly._raw({ka + kb: _canon(va * vb) for kb, vb in tb.items()})
-        if len(tb) == 1:
-            ((kb, vb),) = tb.items()
-            return Poly._raw({ka + kb: _canon(va * vb) for ka, va in ta.items()})
-        return Poly._raw(_speedups.poly_mul(ta, tb))
+        return Poly._raw(_speedups.poly_mul(self._terms, other._terms))
 
     def scale(self, value: Rat) -> "Poly":
         value = _canon(value)
@@ -340,6 +326,28 @@ def _add_square_sum(
         acc[key] = acc.get(key, 0) + twice * value
     if lo == hi and seq[lo]._terms:
         _speedups.poly_acc(acc, seq[lo]._terms, seq[lo]._terms, negate)
+
+
+def _nonzero(coeffs: Iterable[Poly], start: int = 0) -> list[tuple[int, dict]]:
+    """(z power, term dict) of the nonzero coefficients from z^start on."""
+    return [(k, c._terms) for k, c in enumerate(coeffs) if k >= start and c._terms]
+
+
+def _add_products(
+    acc: dict[int, Rat],
+    pairs: list[tuple[int, dict]],
+    seq: Sequence[Poly],
+    n: int,
+    negate: bool = False,
+) -> None:
+    """Add the sum of terms * seq[n - j] over the (j, terms) pairs with
+    j <= n into acc (negated if asked); pairs ascend in j."""
+    for j, terms in pairs:
+        if j > n:
+            break
+        other = seq[n - j]._terms
+        if other:
+            _speedups.poly_acc(acc, terms, other, negate)
 
 
 class Series:
@@ -420,24 +428,13 @@ class Series:
             return NotImplemented
         order = min(self.order, other.order)
         return Series(
-            tuple(
-                a + b
-                for a, b in zip(self._coeffs[: order + 1], other._coeffs[: order + 1])
-            ),
-            order,
+            tuple(a + b for a, b in zip(self._coeffs, other._coeffs)), order
         )
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        order = min(self.order, other.order)
-        return Series(
-            tuple(
-                a - b
-                for a, b in zip(self._coeffs[: order + 1], other._coeffs[: order + 1])
-            ),
-            order,
-        )
+        return self + -other
 
     def __neg__(self) -> "Series":
         return Series(tuple(-p for p in self._coeffs), self.order)
@@ -446,19 +443,11 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
-        a = self._coeffs
-        b = other._coeffs
+        pairs = _nonzero(self._coeffs)
         out = []
         for n in range(order + 1):
             acc: dict[int, Rat] = {}
-            for k in range(n + 1):
-                ta = a[k]._terms
-                if not ta:
-                    continue
-                tb = b[n - k]._terms
-                if not tb:
-                    continue
-                _speedups.poly_acc(acc, ta, tb)
+            _add_products(acc, pairs, other._coeffs, n)
             out.append(Poly._raw(_speedups.clean_terms(acc)))
         return Series(tuple(out), order)
 
@@ -466,11 +455,7 @@ class Series:
         return self.div(other)
 
     def div(self, other: "Series") -> "Series":
-        """Divide by a series whose constant term is a nonzero rational.
-
-        Constant terms 1 and -1 need no scaling: for -1 the sign is taken
-        into the accumulation.
-        """
+        """Divide by a series whose constant term is a nonzero rational."""
         if not isinstance(other, Series):
             raise TypeError("can only divide by another Series")
         const = other._coeffs[0].as_constant()
@@ -480,23 +465,13 @@ class Series:
                 f"{other._coeffs[0]}"
             )
         inv = 1 / const
-        flip = inv == -1
         order = min(self.order, other.order)
-        b = other._coeffs
+        pairs = _nonzero(other._coeffs, 1)
         quot: list[Poly] = []
         for n in range(order + 1):
-            ta = self._coeffs[n]._terms
-            acc = {k: -v for k, v in ta.items()} if flip else dict(ta)
-            for k in range(n):
-                tq = quot[k]._terms
-                if not tq:
-                    continue
-                tb = b[n - k]._terms
-                if not tb:
-                    continue
-                _speedups.poly_acc(acc, tq, tb, not flip)
-            q = Poly._raw(_speedups.clean_terms(acc))
-            quot.append(q if flip else q.scale(inv))
+            acc = dict(self._coeffs[n]._terms)
+            _add_products(acc, pairs, quot, n, negate=True)
+            quot.append(Poly._raw(_speedups.clean_terms(acc)).scale(inv))
         return Series(tuple(quot), order)
 
     def sqrt(self) -> "Series":
@@ -751,28 +726,6 @@ def kernel_sum(
 ) -> Series:
     """P = z*r1 + z*r2, the linear coefficient of the kernel quadratic."""
     return _terms_at(order, _constant_terms(variant)[0], sigma, tau)
-
-
-def _nonzero(coeffs: Iterable[Poly], start: int = 0) -> list[tuple[int, dict]]:
-    """(z power, term dict) of the nonzero coefficients from z^start on."""
-    return [(k, c._terms) for k, c in enumerate(coeffs) if k >= start and c._terms]
-
-
-def _add_products(
-    acc: dict[int, Rat],
-    pairs: list[tuple[int, dict]],
-    seq: list[Poly],
-    n: int,
-    negate: bool = False,
-) -> None:
-    """Add the sum of terms * seq[n - j] over the (j, terms) pairs with
-    j <= n into acc (negated if asked); pairs ascend in j."""
-    for j, terms in pairs:
-        if j > n:
-            break
-        other = seq[n - j]._terms
-        if other:
-            _speedups.poly_acc(acc, terms, other, negate)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,26 @@ def test_series_rational_values_match_full_closed_form(capsys):
             assert out == expected + "\n"
 
 
+def test_series_with_values_passes_no_value_to_specialize(capsys, monkeypatch):
+    # the engines get the values before the work, so the answer needs no
+    # second substitution pass over its terms
+    calls = []
+    specialize = Series.specialize
+
+    def record(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return specialize(self, *args, **kwargs)
+
+    monkeypatch.setattr(Series, "specialize", record)
+    for engine in ("closed", "dp"):
+        rc, _, _ = run(
+            capsys, "series", "--variant", "skew", "--order", "6",
+            "--engine", engine, "--u", "1/2",
+        )
+        assert rc == 0
+    assert calls == [((), {}), ((), {})]
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("sigma", ["sym", "1/2"])
 def test_series_prints_the_reference_bytes(capsys, variant, sigma):

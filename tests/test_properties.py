@@ -44,6 +44,13 @@ def series(draw):
     return Series(draw(st.lists(polys, min_size=order + 1, max_size=order + 1)))
 
 
+# a divisor: a series whose constant term is 1, -1 or -3/2
+units = st.builds(
+    lambda s, c: Series((Poly.constant(c),) + s.coefficients()[1:], s.order),
+    series(),
+    st.sampled_from([1, -1, Fraction(-3, 2)]),
+)
+
 values = st.none() | rationals
 
 # ints and Fractions of both signs, exponents 0 to 3
@@ -61,6 +68,32 @@ def test_series_output_is_the_reference_bytes(coeffs):
     s = Series(coeffs)
     assert s.to_text() == series_text(s)
     assert s.to_json_text() == series_json_text(s)
+
+
+# The Series ring laws.  Each operand draws its own truncation order, and a
+# result carries the lowest order among its operands.
+
+
+@derandomized
+@given(series(), series(), series())
+def test_series_sum_and_product_commute_associate_and_distribute(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@derandomized
+@given(series(), series())
+def test_series_difference_undoes_the_sum(a, b):
+    assert (a - b) + b == a.prefix(min(a.order, b.order))
+
+
+@derandomized
+@given(series(), units)
+def test_series_quotient_undoes_the_product(a, b):
+    assert (a * b) / b == a.prefix(min(a.order, b.order))
 
 
 @derandomized

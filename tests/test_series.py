@@ -216,7 +216,7 @@ def test_div_random_round_trip():
     for _ in range(30):
         a = random_series(rng, 7)
         b = random_series(rng, 7, unit=True)
-        # constant terms 1 and -1 skip the scaling, others take it
+        # every quotient coefficient is scaled by 1/constant, a no-op for 1
         for c in (1, -1, Fraction(-3, 2)):
             assert (a * b.scale(c)) / b.scale(c) == a
 
