@@ -23,6 +23,7 @@ out once per coefficient.  ``dp_series`` results are cached like those of
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .oracle import CountTable
-from .series import Poly, Rat, Series, _cached, require_exact
+from .series import CACHE_SIZE, Poly, Rat, Series, require_exact
 from .paths import PathWord, Variant
 
 
@@ -255,7 +256,7 @@ def dp_count(n_max: int, variant: Variant) -> CountTable:
     return CountTable(variant, n_max, entries)
 
 
-@_cached
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def dp_series(
     order: int,
     variant: Variant,

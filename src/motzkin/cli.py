@@ -119,11 +119,17 @@ def fetch_bfile(id: str, timeout: float = OEIS_TIMEOUT) -> list[int]:
     """Download and parse a b-file: one "index value" pair per line."""
     # imported here, not at the top: it is about half of the import time of
     # this module, and no other command needs it
+    import http.client
     import urllib.request
 
     url = OEIS_URL.format(id=id, digits=id.lstrip("A"))
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        text = response.read().decode("utf-8", errors="replace")
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            text = response.read().decode("utf-8", errors="replace")
+    except http.client.HTTPException as exc:
+        # http.client raises these, not OSError, for a truncated body or a
+        # bad status line; the caller reports any OSError as a failed fetch
+        raise OSError(f"HTTP protocol error: {exc!r}") from exc
     values = []
     for line in text.splitlines():
         line = line.strip()

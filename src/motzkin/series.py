@@ -48,10 +48,11 @@ Rat = Union[int, Fraction]
 
 DEFAULT_ORDER = 24
 
-# entries kept by each of the boundary, closed-form and DP caches.  A key is
-# (variant, order, sigma, tau) (closed form and DP: and u), typed so that a
-# float never shares the entry of an equal int and slips past the exactness
-# check.
+# entries kept by each of the closed-form and DP LRU caches.  A
+# specialize-warm session (perfbench, seeds 11-13) uses 15 closed-form keys
+# and 31-32 DP keys, so the DP cache runs at this bound.  Keys are typed so
+# that a float never shares the entry of an equal int and slips past the
+# exactness check.  Boundary values are not cached: no workload repeats one.
 CACHE_SIZE = 32
 
 # exponent triples (e_u, e_s, e_t) are packed into one int so that monomial
@@ -640,36 +641,6 @@ def specialize(
 # is divided out as a number.
 
 
-def _cached(fn):
-    """lru_cache keyed on every argument, omitted defaults filled in, so that
-    f(v, n) and f(v, n, None, None) share one entry."""
-    cached = functools.lru_cache(maxsize=CACHE_SIZE, typed=True)(fn)
-    code = fn.__code__
-    names = code.co_varnames[: code.co_argcount]
-    defaults = fn.__defaults__ or ()
-    first_default = len(names) - len(defaults)
-
-    @functools.wraps(fn)
-    def lookup(*args, **kwargs):
-        if kwargs or len(args) < len(names):
-            filled = list(args)
-            for i in range(len(args), len(names)):
-                if names[i] in kwargs:
-                    filled.append(kwargs.pop(names[i]))
-                elif i >= first_default:
-                    filled.append(defaults[i - first_default])
-                else:
-                    raise TypeError(f"{fn.__name__}() missing argument {names[i]!r}")
-            if kwargs:
-                raise TypeError(f"{fn.__name__}() got unexpected {sorted(kwargs)}")
-            args = tuple(filled)
-        return cached(*args)
-
-    lookup.cache_info = cached.cache_info
-    lookup.cache_clear = cached.cache_clear
-    return lookup
-
-
 def _terms_at(
     order: int,
     terms: Iterable[tuple[int, int, int, int, Rat]],
@@ -736,9 +707,9 @@ class ClosedForm:
     time they are read.  f: walks whose last step was U; g: empty walk or
     last step H; h: last step D; k: last step L (skew only, None
     otherwise).  c0 is the u=0 total; the layers' divisor kernel,
-    z*r1 - z*u, is built the first time a layer needs it.  At u = 0 (see
-    boundary_values) total is c0 and the layers are the boundary values
-    G(0), H(0) and K(0).
+    z*r1 - z*u with z*r1 = N/c0 + z^2*D, is built the first time a layer
+    needs it.  At u = 0 (see boundary_values) total is c0, kernel is z*r1
+    and the layers are the boundary values G(0), H(0) and K(0).
     """
 
     variant: Variant
@@ -751,8 +722,11 @@ class ClosedForm:
 
     @functools.cached_property
     def kernel(self) -> Series:
-        zr1 = kernel_zr1(self.variant, self.order, self.sigma, self.tau)
-        return zr1 - self.zu
+        num, z2d = (
+            _terms_at(self.order, t, self.sigma, self.tau)
+            for t in _constant_terms(self.variant)[2:4]
+        )
+        return num / self.c0 + z2d - self.zu
 
     @functools.cached_property
     def f(self) -> Series:
@@ -775,7 +749,6 @@ class ClosedForm:
         return rest if self.k is None else rest - self.k
 
 
-@_cached
 def boundary_values(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> ClosedForm:
@@ -813,10 +786,7 @@ def kernel_zr1(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> Series:
     """z times the companion root: N/C0 + z^2*D = (P + W)/2, constant term 1."""
-    num, z2d = (
-        _terms_at(order, t, sigma, tau) for t in _constant_terms(variant)[2:4]
-    )
-    return num / boundary_values(variant, order, sigma, tau).c0 + z2d
+    return boundary_values(variant, order, sigma, tau).kernel
 
 
 def kernel_r2(
@@ -880,7 +850,7 @@ def _total(
     return Series(tuple(total), order)
 
 
-@_cached
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def closed_form(
     variant: Variant,
     order: int,
@@ -892,12 +862,13 @@ def closed_form(
 
     The total comes from its three-term recurrence in z (see _total), with
     no series division; at u = 0 it is C0.  Numeric u, sigma or tau give the
-    symbolic result with those values substituted.
+    symbolic result with those values substituted; at u = 0 the result is
+    the boundary_values object.
     """
     bnd = boundary_values(variant, order, sigma, tau)
+    require_exact(u)
+    if u == 0:
+        return bnd
     zu = _terms_at(order, [(1, 1, 0, 0, 1)], sigma, tau, u)
-    if u is not None and u == 0:
-        total = bnd.c0
-    else:
-        total = _total(variant, order, sigma, tau, u, bnd.c0.coefficients())
+    total = _total(variant, order, sigma, tau, u, bnd.c0.coefficients())
     return ClosedForm(variant, order, total, bnd.c0, zu, sigma, tau)

@@ -512,6 +512,27 @@ def test_oeis_fetch_failure_degrades(capsys, monkeypatch):
     assert "[builtin]" in out
 
 
+def test_oeis_fetch_protocol_error_degrades(capsys, monkeypatch):
+    import http.client
+    import urllib.request
+
+    class Truncated:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            raise http.client.IncompleteRead(b"0 1\n1 1", 100)
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: Truncated())
+    rc, out, err = run(capsys, "oeis", "--id", "A001006", "--fetch")
+    assert rc == 0
+    assert "warning: fetch failed" in err and "IncompleteRead" in err
+    assert "[builtin]" in out
+
+
 def test_import_leaves_urllib_unloaded():
     # a fresh interpreter: only `oeis --fetch` needs the network stack
     code = "import sys, motzkin.cli; print('urllib.request' in sys.modules)"

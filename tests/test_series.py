@@ -278,6 +278,14 @@ def test_substitution_refuses_inexact_values():
         closed_form(Variant.PLAIN, 3, 1.0)
     with pytest.raises(TypeError):
         closed_form(Variant.SKEW, 3, None, 0.5)
+    # the same through keyword arguments, which build their own cache key
+    closed_form(Variant.PLAIN, 3, sigma=1)
+    with pytest.raises(TypeError):
+        closed_form(Variant.PLAIN, 3, sigma=1.0)
+    # at u = 0 the closed form is the boundary object; 0.0 is still refused
+    closed_form(Variant.PLAIN, 3, None, None, 0)
+    with pytest.raises(TypeError):
+        closed_form(Variant.PLAIN, 3, None, None, 0.0)
 
 
 def test_cached_dp_result_lets_no_float_through():
@@ -420,7 +428,7 @@ def test_closed_form_takes_no_square_root(monkeypatch):
         raise AssertionError("the closed-form route took a series square root")
 
     monkeypatch.setattr(Series, "sqrt", no_sqrt)
-    # drop every cached kernel, boundary and closed-form result
+    # drop every cached closed-form result
     for value in vars(series_module).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
@@ -572,26 +580,31 @@ def test_symbolic_u_rechecks_c0_at_every_order(monkeypatch):
     closed_form.cache_clear()
 
 
-def test_omitted_defaults_share_one_cache_entry():
-    for cache in (boundary_values, closed_form):
-        cache.cache_clear()
-        for args in ((Variant.PLAIN, 5), (Variant.PLAIN, 5, None, None)):
-            cache(*args)
-        if cache is closed_form:
-            cache(Variant.PLAIN, 5, None, None, None)
-            cache(Variant.PLAIN, 5, u=None)
-        assert cache.cache_info().misses == 1
-    dp_series.cache_clear()
-    dp_series(5, Variant.PLAIN)
-    dp_series(5, Variant.PLAIN, None, None, None)
-    dp_series(order=5, variant=Variant.PLAIN, sigma=None)
-    assert dp_series.cache_info().misses == 1
+def test_cached_entry_points_refuse_bad_arguments():
     with pytest.raises(TypeError):
         closed_form(Variant.PLAIN)
     with pytest.raises(TypeError):
         closed_form(Variant.PLAIN, 5, rho=None)
     with pytest.raises(TypeError):
         closed_form(Variant.PLAIN, 5, variant=Variant.PLAIN)
+
+
+def test_closed_form_solves_c0_once(monkeypatch):
+    # the layers' divisor takes z*r1 from the closed form's own C0, and the
+    # boundary values are not looked up a second time
+    calls = []
+    solve = series_module.boundary_values
+
+    def count(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(series_module, "boundary_values", count)
+    closed_form.cache_clear()
+    closed = closed_form(Variant.SKEW, 6)
+    for layer in (closed.f, closed.g, closed.h, closed.k):
+        assert layer.order == 6
+    assert calls == [(Variant.SKEW, 6, None, None)]
 
 
 def test_cold_closed_form_builds_the_kernel_constants_once(monkeypatch):
@@ -605,15 +618,14 @@ def test_cold_closed_form_builds_the_kernel_constants_once(monkeypatch):
         return terms_at(order, terms, *values)
 
     monkeypatch.setattr(series_module, "_terms_at", record)
-    for cache in (boundary_values, closed_form):
-        cache.cache_clear()
+    closed_form.cache_clear()
     closed = closed_form(Variant.SKEW, 6, Fraction(1, 2))
     assert closed.h.order == closed.k.order == 6
     assert built and len(set(built)) == len(built)
 
 
 def test_pipeline_caches_are_bounded():
-    caches = (boundary_values, closed_form, dp_series)
+    caches = (closed_form, dp_series)
     for variant in Variant:
         for sigma in range(CACHE_SIZE + 1):
             closed_form(variant, 2, sigma)
