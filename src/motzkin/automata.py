@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .oracle import CountTable
-from .series import CACHE_SIZE, Poly, Rat, Series, require_exact
+from ._speedups import clean_terms
+from .series import _EXP_LIMIT, _SHIFT, CACHE_SIZE, Poly, Rat, Series, require_exact
 from .paths import PathWord, Variant
 
 
@@ -242,14 +243,17 @@ def _sweep(
     return bits, scale, frontiers()
 
 
-def dp_count(n_max: int, variant: Variant) -> CountTable:
-    """Count walks of each (length, end level, #UD, #DU) with the automaton."""
+def dp_count(n_max: int, variant: Variant, *, last_only: bool = False) -> CountTable:
+    """Count walks of each (length, end level, #UD, #DU) with the automaton;
+    with last_only, only those of length n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     bits, _, frontiers = _sweep(variant, n_max)
     mask = (1 << bits) - 1
     entries: dict[tuple[int, int, int, int], int] = {}
     for n, frontier in enumerate(frontiers):
+        if last_only and n < n_max:
+            continue
         for key, c in frontier.items():
             entry = (n, key >> (2 * bits + 2), (key >> bits) & mask, key & mask)
             entries[entry] = entries.get(entry, 0) + c
@@ -276,28 +280,26 @@ def dp_series(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order >= _EXP_LIMIT:  # no exponent exceeds the order
+        raise ValueError(f"exponent out of range: order {order}")
     require_exact(u)
     bits, scale, frontiers = _sweep(variant, order, sigma, tau)
-    mask = (1 << bits) - 1
-    q = 1 if u is None else u.denominator
-    if u is not None:
-        p_powers = [u.numerator**j for j in range(order + 1)]
-        q_powers = [q**j for j in range(order + 1)]
+    mask, level_shift = (1 << bits) - 1, 2 * bits + 2
+    # the level stays in the key as u's exponent, or goes into the weight
+    p, q, keep = (1, 1, -1) if u is None else (u.numerator, u.denominator, 0)
     coeffs = []
     for n, frontier in enumerate(frontiers):
-        acc: dict[tuple[int, int, int], int] = {}
+        weights = [p**j * q ** (n - j) for j in range(n + 1)]
+        acc: dict[int, int] = {}
         for key, c in frontier.items():
-            j = key >> (2 * bits + 2)
-            if u is not None:
-                c *= p_powers[j] * q_powers[n - j]
-                j = 0
-            exps = (j, key & mask, (key >> bits) & mask)
-            acc[exps] = acc.get(exps, 0) + c
+            level = key >> level_shift  # (state, #UD, #DU) -> u^level*s^#DU*t^#UD
+            packed = (key & mask) << _SHIFT | (key >> bits & mask) << 2 * _SHIFT
+            packed |= level & keep
+            acc[packed] = acc.get(packed, 0) + c * weights[level]
         denom = (scale * q) ** n
-        coeffs.append(Poly(
-            (exps, c if denom == 1 else Fraction(c, denom))
-            for exps, c in acc.items()
-        ))
+        if denom != 1:
+            acc = {key: Fraction(c, denom) for key, c in acc.items()}
+        coeffs.append(Poly._raw(clean_terms(acc)))
     return Series(coeffs, order)
 
 

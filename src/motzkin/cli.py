@@ -18,7 +18,6 @@ from .automata import dp_count, dp_series
 from .oracle import (
     MAX_PATH_LEN,
     MAX_SEMIPERIMETER,
-    CountTable,
     count_table,
     enumerate_bargraphs,
     enumerate_paths,
@@ -285,11 +284,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     _check_length_bound(args.n, MAX_COUNT_LEN, args.unbounded)
     if args.end_level is not None and args.end_level < 0:
         raise ValueError("--end-level must be nonnegative")
-    full = dp_count(args.n, variant)
-    table = CountTable(variant, args.n, {
-        key: c for key, c in full.entries.items()
-        if key[0] == args.n and (args.end_level is None or key[1] == args.end_level)
-    })
+    table = dp_count(args.n, variant, last_only=True)
+    if args.end_level is not None:
+        table.entries = {
+            k: c for k, c in table.entries.items() if k[1] == args.end_level
+        }
     if args.format == "json":
         print(table.to_json())
     elif args.format == "csv":

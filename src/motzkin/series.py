@@ -14,18 +14,18 @@ E = (1-s)*(1-t) + a - 1, the kernel quadratic's linear coefficient is
 P = 1 - z + z^2*(a - s*t) + z^3*E and the total's numerator starts from
 N = 1 - z^2*E.  The grand total T and its u = 0 value C0 come straight
 from the functional equation, one coefficient of z at a time, with no
-series division and no kernel root: C0 from a quadratic whose linear
-coefficient has constant term 1, and T from a three-term recurrence whose
-leading coefficient is u.  Symbolically, dividing by u is a shift of the u
-exponent, and a u-free remainder (which would mean C0 does not solve its
-equation) raises.  The same formulas serve both variants.  The layers of
-walks grouped by the layer their last step put them in (F after an up step,
-G after a horizontal step or at the start, H after a down step, K after a
-left-down step) follow from the total and are built only when read; they
-divide by the kernel factor z*r1 - z*u, where z*r1 = N/C0 + z^2*D is one
-series division by C0 (the power-series root r2 = (P - z*r1)/z and
-W = 2*z*r1 - P follow by subtraction).  The boundary values are the same
-closed form at u = 0.
+series division and no series root: C0 from the root W of a discriminant of
+degree 6 in z, by a recurrence that reads the last six coefficients of W,
+and T from a three-term recurrence whose leading coefficient is u.
+Symbolically, dividing by s or by u is a shift of its exponent, and a
+remainder free of it (C0 or a constant is wrong) raises.  The same formulas
+serve both variants.  The layers of walks grouped by the layer their last
+step put them in (F after an up step, G after a horizontal step or at the
+start, H after a down step, K after a left-down step) follow from the total
+and are built only when read; they divide by the kernel factor z*r1 - z*u,
+where z*r1 = N/C0 + z^2*D is one series division by C0 (the power-series
+root r2 = (P - z*r1)/z and W = 2*z*r1 - P follow by subtraction).  The
+boundary values are the same closed form at u = 0.
 Symbolically it runs in integers throughout.  Numeric u, sigma and tau go in
 before the work: they are substituted into the constants the pipeline starts
 from, so it runs on polynomials in fewer variables and gives the full result
@@ -36,10 +36,11 @@ hold).
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import _speedups
 from .paths import Variant
@@ -155,7 +156,7 @@ def _poly_text(rows) -> str:
         return "0"
     parts = []
     for _, mono, _, value in rows:
-        if value < 0:
+        if value.numerator < 0:  # int or Fraction; skips Fraction.__lt__
             parts.append(" - ")
             value = -value
         else:
@@ -309,26 +310,6 @@ class Poly:
         return f"Poly({self})"
 
 
-def _add_square_sum(
-    acc: dict[int, Rat], seq: list[Poly], lo: int, hi: int, negate: bool = False
-) -> None:
-    """Add sum of seq[i]*seq[j] over i + j = lo + hi, lo <= i, j <= hi, into
-    acc (negated if asked): each cross pair once, doubled, then the middle
-    square."""
-    cross: dict[int, Rat] = {}
-    while lo < hi:
-        ta, tb = seq[lo]._terms, seq[hi]._terms
-        if ta and tb:
-            _speedups.poly_acc(cross, ta, tb)
-        lo += 1
-        hi -= 1
-    twice = -2 if negate else 2
-    for key, value in cross.items():
-        acc[key] = acc.get(key, 0) + twice * value
-    if lo == hi and seq[lo]._terms:
-        _speedups.poly_acc(acc, seq[lo]._terms, seq[lo]._terms, negate)
-
-
 def _nonzero(coeffs: Iterable[Poly], start: int = 0) -> list[tuple[int, dict]]:
     """(z power, term dict) of the nonzero coefficients from z^start on."""
     return [(k, c._terms) for k, c in enumerate(coeffs) if k >= start and c._terms]
@@ -349,6 +330,40 @@ def _add_products(
         other = seq[n - j]._terms
         if other:
             _speedups.poly_acc(acc, terms, other, negate)
+
+
+def _divide(terms: dict[int, Rat], d: Rat, exact: bool) -> dict[int, Rat]:
+    """terms / d with the zeros dropped.  If exact, d must divide every
+    value in integers: a remainder raises ArithmeticError."""
+    if not exact:
+        d = Fraction(d)
+        return _speedups.clean_terms({key: value / d for key, value in terms.items()})
+    out = {}
+    for key, value in terms.items():
+        quot, rem = divmod(value, d)
+        if rem:
+            raise ArithmeticError(f"{d} does not divide a coefficient of C0")
+        if quot:
+            out[key] = quot
+    return out
+
+
+def _sqrt_terms(radicand: list[dict[int, Rat]], exact: bool) -> Iterator[dict]:
+    """The coefficients of the root W of a radicand with constant term 1, in
+    order, as far as they are read: J. C. P. Miller's recurrence for a power
+    of a series (Knuth, TAOCP vol. 2, 4.7),
+        2m*W[m] = sum_{k>=1} (3k - 2m)*radicand[k]*W[m-k],
+    divided as by _divide.  Only the last len(radicand) - 1 coefficients are
+    kept, so a polynomial radicand runs in a fixed window."""
+    window = [{0: 1}]  # W[m-k] is window[-k]
+    for m in itertools.count(1):
+        yield window[-1]
+        acc: dict[int, Rat] = {}
+        for k, terms in enumerate(radicand[1 : m + 1], 1):
+            if 3 * k != 2 * m and terms and window[-k]:
+                scaled = {key: (3 * k - 2 * m) * value for key, value in terms.items()}
+                _speedups.poly_acc(acc, scaled, window[-k])
+        window = (window + [_divide(acc, 2 * m, exact)])[1 - len(radicand) :]
 
 
 class Series:
@@ -481,13 +496,8 @@ class Series:
             raise ValueError(
                 f"series sqrt needs constant term 1, got {self._coeffs[0]}"
             )
-        half = Fraction(1, 2)
-        root: list[Poly] = [Poly.one()]
-        for n in range(1, self.order + 1):
-            acc = dict(self._coeffs[n]._terms)
-            _add_square_sum(acc, root, 1, n - 1, negate=True)
-            root.append(Poly._raw(_speedups.clean_terms(acc)).scale(half))
-        return Series(tuple(root), self.order)
+        root = _sqrt_terms([c._terms for c in self._coeffs], exact=False)
+        return Series(tuple(Poly._raw(next(root)) for _ in self._coeffs), self.order)
 
     def scale(self, value: Rat) -> "Series":
         return Series(tuple(p.scale(value) for p in self._coeffs), self.order)
@@ -594,7 +604,6 @@ def specialize(
 # power series divisible by z; the companion root r1 has a 1/z pole, and
 # z*r1 = P - z*r2 = (P + W)/2 is the object that appears in denominators
 # (constant term 1, so z*r1 - z*u is invertible as a series).
-# W^2 = P^2 - 4*z*Q is kept as a test identity.
 #
 # The layers obey, with T = F+G+H(+K) and C0 = T(0),
 #     F = z*u*(F + G + s*H)                  (no U after L)
@@ -609,15 +618,17 @@ def specialize(
 # X*(u - r2), and T = X/(z*r1 - z*u); its u=0 instance is
 # C0*(z*r1 - z^2*D) = N.
 #
-# The total and C0 are computed without a kernel root (Bousquet-Melou &
-# Jehanne, "Polynomial equations with one catalytic variable, algebraic
-# series and map enumeration", JCTB 96, 2006).  With M = P - z^2*D, the last
-# equation gives z*r2 = P - z*r1 = M - N/C0; putting that into the kernel
-# equation (z*r2)^2 - P*(z*r2) + z^2*(Q/z) = 0 and clearing C0^2 leaves
-#     z^2*(Q/z - D*M)*C0^2 - N*(P - 2*z^2*D)*C0 + N^2 = 0.
-# The linear coefficient has constant term 1 and the quadratic one is a
-# multiple of z^2, so C0[n] needs only (C0^2)[m] for m <= n - 2 and C0[k]
-# for k < n.  The left factor of the total's equation has the z-coefficients
+# The total and C0 are computed with no series division and no series root
+# (Bousquet-Melou & Jehanne, JCTB 96, 2006).  W^2 = P^2 - 4*z^2*(Q/z) is a
+# polynomial of degree 6 in z, so _sqrt_terms gives each W coefficient from
+# the six before it, and as W = 2*z*r1 - P is integral it divides exactly.
+# With rho = r2/z = (P - W)/(2z^2), the identity Q/z - D*P + z^2*D^2 =
+# N*(s + z*D) of the constants and rho's equation z^2*rho^2 - P*rho + Q/z = 0
+# give (rho - D)*(z*r1 - z^2*D) = N*(s + z*D), so rho = D + (s + z*D)*C0:
+#     s*C0 = rho + (s - a)*G0,   G0 = 1 + z*C0 = G(0).
+# Symbolically dividing by s is a shift of the s exponent, and an s-free
+# remainder raises; at sigma = 0 the equation reads rho[n+1] = a*C0[n].
+# The left factor of the total's equation has the z-coefficients
 #     u,  -u - a - u^2,  (a - s*t)*u,  E*u + (a-1)*s*t,
 # so T[n] = (R[n] - sum_{k=1..3} coeff_k*T[n-k]) / u, R = u*X - Q*C0.
 # Symbolically u divides R[n] - ... exactly: its u-free part is the u-free
@@ -677,8 +688,7 @@ def _shifted(xs: _Terms, coeff: Rat, dz: int = 0, du: int = 0) -> _Terms:
 
 
 def _constant_terms(variant: Variant) -> tuple[_Terms, ...]:
-    """The terms of P, Q/z, N and z^2*D, then of C0's quadratic:
-    z^2*(Q/z - D*M), N*(P - 2*z^2*D) and N^2, with M = P - z^2*D."""
+    """The terms of P, Q/z, N and z^2*D."""
     a = _A[variant]
     e = ((0, 0, a), (1, 0, -1), (0, 1, -1), (1, 1, 1))  # E = a - s - t + s*t
     p = [(0, 0, 0, 0, 1), (1, 0, 0, 0, -1), (2, 0, 0, 0, a), (2, 0, 1, 1, -1)]
@@ -686,10 +696,7 @@ def _constant_terms(variant: Variant) -> tuple[_Terms, ...]:
     q = [(0, 0, 0, 0, a), (2, 0, 1, 1, 1 - a)]
     n = [(0, 0, 0, 0, 1)] + [(2, 0, es, et, -c) for es, et, c in e]
     z2d = [(2, 0, 0, 0, a), (2, 0, 1, 0, -1)]
-    m = p + _shifted(z2d, -1)
-    quadratic = _shifted(q, 1, 2) + _shifted(_times(z2d, m), -1)
-    linear = _times(n, p + _shifted(z2d, -2))
-    return p, q, n, z2d, quadratic, linear, _times(n, n)
+    return p, q, n, z2d
 
 
 def kernel_sum(
@@ -754,30 +761,40 @@ def boundary_values(
 ) -> ClosedForm:
     """The closed form at u = 0: total C0 and, when read, G(0), H(0), K(0).
 
-    C0 solves z^2*(Q/z - D*M)*C0^2 - N*(P - 2*z^2*D)*C0 + N^2 = 0 (see the
-    kernel pipeline comment), one coefficient at a time: the linear
-    coefficient has constant term 1, so C0[n] is N^2[n] plus the quadratic
-    coefficient against the squares (C0^2)[m], m <= n - 2, less the linear
-    one against C0[k], k < n.  Each square is summed once.  Numeric sigma
-    and tau are substituted first, as in the whole pipeline.
+    C0 comes from W by 2s*(C0[n] - G0[n]) = P[n+2] - W[n+2] - 2a*G0[n] (see
+    the kernel pipeline comment), each coefficient as soon as W's is known.
+    Numeric sigma and tau are substituted first, as in the whole pipeline;
+    unless one of them is a Fraction, every division is exact in integers.
     """
-    quadratic, linear, square_n = (
-        _terms_at(order, t, sigma, tau).coefficients()
-        for t in _constant_terms(variant)[4:]
-    )
-    quadratic = _nonzero(quadratic, 2)  # a multiple of z^2
-    linear = _nonzero(linear, 1)  # its constant term is 1
+    a = _A[variant]
+    p, q = _constant_terms(variant)[:2]
+    delta = _terms_at(6, _times(p, p) + _shifted(q, -4, 2), sigma, tau)
+    p = [c._terms for c in _terms_at(3, p, sigma, tau).coefficients()] + [{}]
+    exact = not isinstance(sigma, Fraction) and not isinstance(tau, Fraction)
+    roots = _sqrt_terms([c._terms for c in delta.coefficients()], exact)
     c0: list[Poly] = []
-    squares: list[Poly] = []  # squares[m] = (C0^2)[m]
-    for n in range(order + 1):
-        if n >= 2:
-            acc: dict[int, Rat] = {}
-            _add_square_sum(acc, c0, 0, n - 2)
-            squares.append(Poly._raw(_speedups.clean_terms(acc)))
-        acc = dict(square_n[n]._terms)
-        _add_products(acc, quadratic, squares, n)
-        _add_products(acc, linear, c0, n, negate=True)
-        c0.append(Poly._raw(_speedups.clean_terms(acc)))
+    g0: dict[int, Rat] = {0: 1}  # G0[n] = C0[n-1], G0[0] = 1
+    last = order + (4 if sigma == 0 else 3)
+    for m, w in enumerate(itertools.islice(roots, 2, last), 2):
+        acc = {key: -value for key, value in w.items()}  # 2*rho[m-2]
+        for key, value in p[min(m, 4)].items():
+            acc[key] = acc.get(key, 0) + value
+        if sigma == 0:  # rho[n] = a*C0[n-1]
+            if m > 2:
+                g0 = _divide(acc, 2 * a, exact)
+                c0.append(Poly._raw(g0))
+            continue
+        for key, value in g0.items():
+            acc[key] = acc.get(key, 0) - 2 * a * value
+        acc = _divide(acc, 2 if sigma is None else 2 * sigma, exact)
+        if sigma is None:  # divide by s: shift its exponent
+            if any(not key >> _SHIFT & _MASK for key in acc):
+                raise ArithmeticError(f"s does not divide z^{m - 2} of C0's equation")
+            acc = {key - (1 << _SHIFT): value for key, value in acc.items()}
+        for key, value in g0.items():
+            acc[key] = acc.get(key, 0) + value
+        g0 = _speedups.clean_terms(acc)
+        c0.append(Poly._raw(g0))
     total = Series(tuple(c0), order)
     return ClosedForm(variant, order, total, total, Series.zero(order), sigma, tau)
 
@@ -844,7 +861,7 @@ def _total(
         if any(not key & _MASK for key in terms):
             raise ArithmeticError(
                 f"u does not divide z^{n} of the total's equation: "
-                "C0 does not solve its quadratic"
+                "C0 does not solve its equation"
             )
         total.append(Poly._raw({key - 1: value for key, value in terms.items()}))
     return Series(tuple(total), order)

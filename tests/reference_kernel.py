@@ -10,9 +10,10 @@ library's C0 solver.  Then z*r1 = P - z^2*rho and W = P - 2*z^2*rho.
 
 C0 solves C0 * (z*r1 - z^2*D) = N, and the grand total is
 T = (N + z^2*D*C0) / (z*r1 - z*u), both by series division with z*r1 from
-rho.  ``motzkin.series`` gets C0 from a quadratic with no root in it, T
-from a three-term recurrence and z*r1 the other way round, as N/C0 + z^2*D;
-the tests hold all of them to this reference byte for byte.  Numeric sigma,
+rho.  ``motzkin.series`` gets C0 from the six-term recurrence for W, the
+square root of the discriminant, T from a three-term recurrence and z*r1
+the other way round, as N/C0 + z^2*D; the tests hold all of them to this
+reference byte for byte.  Numeric sigma,
 tau and u go into the constants before the work, as in the library.
 
 Run as a script, it checks the full grid of values at higher orders:

@@ -183,6 +183,23 @@ def test_dp_count_examples():
     assert table.count(4, 0, 2, 1) == 1
 
 
+def test_dp_count_last_only_is_the_last_length():
+    for variant in Variant:
+        for n_max in (0, 1, 7):
+            full = dp_count(n_max, variant).entries
+            last = dp_count(n_max, variant, last_only=True)
+            assert last.n_max == n_max
+            assert last.entries == {
+                key: c for key, c in full.items() if key[0] == n_max
+            }
+
+
+def test_dp_series_refuses_an_order_past_the_exponent_range():
+    # refused up front, before any sweep
+    with pytest.raises(ValueError, match="exponent out of range"):
+        dp_series(1 << 21, Variant.PLAIN)
+
+
 def test_dp_series_examples():
     series = dp_series(4, Variant.PLAIN)
     assert series.coefficient(0) == Poly.one()

@@ -546,6 +546,70 @@ def test_order_30_totals_are_the_division_reference_bytes(variant, sigma, tau, u
     assert got.to_text() == reference_kernel.c0(variant, 30, sigma, tau).to_text()
 
 
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [(None, None), (0, None), (HALF, None), (0, HALF), (HALF, -1), (-1, THREE_HALVES)],
+)
+def test_order_36_c0_is_the_division_reference_bytes(sigma, tau):
+    # C0 from the W recurrence against C0 = N/(z*r1 - z^2*D) with z*r1 from
+    # rho's own recurrence; sigma = 0 reads rho one order further
+    for variant in Variant:
+        got = boundary_values(variant, 36, sigma, tau).total.to_text()
+        assert got == reference_kernel.c0(variant, 36, sigma, tau).to_text()
+
+
+def test_c0_recurrence_stays_on_integers(monkeypatch):
+    # symbolically and at integer sigma, tau, every W coefficient and every
+    # quotient on the way from rho = (P - W)/(2z^2) to C0 is an int
+    quotients = []
+    divide = series_module._divide
+
+    def record(terms, d, exact):
+        out = divide(terms, d, exact)
+        quotients.append(out)
+        return out
+
+    monkeypatch.setattr(series_module, "_divide", record)
+    for variant in Variant:
+        for sigma, tau in ((None, None), (None, 2), (0, None), (1, -1), (2, 3)):
+            quotients.clear()
+            c0 = boundary_values(variant, 16, sigma, tau).total
+            assert len(quotients) >= 17
+            for terms in quotients:
+                assert all(type(value) is int for value in terms.values())
+            for n in range(17):
+                for _, value in c0.coefficient(n).terms():
+                    assert type(value) is int, (variant, sigma, tau, n)
+
+
+@pytest.mark.parametrize(
+    "coeff, message", [(1, "does not divide a coefficient"), (4, "s does not divide")]
+)
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_c0_recurrence_refuses_a_wrong_discriminant(monkeypatch, coeff, message, k):
+    # Delta one term off at z^k: W or rho leaves the integers, or the
+    # s-free part of rho - a*G0 does not vanish
+    terms_at = series_module._terms_at
+    hits = []
+
+    def off_by_one_term(order, terms, *values):
+        series = terms_at(order, terms, *values)
+        p, q = series_module._constant_terms(variant)[:2]
+        if list(terms) == series_module._times(p, p) + series_module._shifted(q, -4, 2):
+            hits.append(order)
+            coeffs = list(series.coefficients())
+            coeffs[k] = coeffs[k] + poly({(0, 0, 1): coeff})
+            series = Series(coeffs, series.order)
+        return series
+
+    monkeypatch.setattr(series_module, "_terms_at", off_by_one_term)
+    for variant in Variant:
+        hits.clear()
+        with pytest.raises(ArithmeticError, match=message):
+            boundary_values(variant, 12)
+        assert len(hits) == 1
+
+
 def test_total_takes_no_division_product_or_kernel_root(monkeypatch):
     def refuse(*args):
         raise AssertionError("the total's route took a series division, "
