@@ -159,8 +159,8 @@ def run(spec: AutomatonSpec, word: PathWord | str) -> RunResult:
         word = PathWord.parse(word)
     state = spec.start
     sig = tau = 0
-    for step in word:
-        t = spec.transition(state, step.value)
+    for letter in word.letters:
+        t = spec.transition(state, letter)
         if t is None:
             return RunResult(False, None, 0, 0)
         if t.weight == WEIGHT_SIGMA:

@@ -23,7 +23,7 @@ from .oracle import (
     enumerate_paths,
 )
 from .paths import Bargraph, PathWord, Variant, from_bargraph, to_bargraph
-from .series import closed_form, default_order
+from .series import Rat, closed_form, default_order
 
 OK = 0
 FAIL = 1
@@ -243,7 +243,7 @@ def check_bijection_roundtrip(max_len: int) -> CheckResult:
 
 def from_bargraph_or_empty(graph: Bargraph) -> PathWord:
     if not graph.columns:
-        return PathWord(())
+        return PathWord("")
     return from_bargraph(graph)
 
 
@@ -261,13 +261,15 @@ def run_checks(variant: Variant, max_n: int) -> list[CheckResult]:
 # subcommands
 
 
-def _parse_value(text: str, flag: str) -> Optional[Fraction]:
+def _parse_value(text: str, flag: str) -> Optional[Rat]:
+    """A rational value, as an int when it is integral, or None for 'sym'."""
     if text == "sym":
         return None
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag} expects a rational number or 'sym', got {text!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 def _check_length_bound(n: int, bound: int, unbounded: bool) -> None:
@@ -371,7 +373,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
 def cmd_bargraph(args: argparse.Namespace) -> int:
     if args.path is not None:
         word = PathWord.parse(args.path)
-        if not word.steps:
+        if not word.letters:
             raise ValueError("the empty path has no bargraph image")
         graph = to_bargraph(word)
         print(f"columns: {graph}")

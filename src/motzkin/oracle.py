@@ -19,9 +19,6 @@ from .paths import Bargraph, PathWord, Step, Variant
 MAX_PATH_LEN = 20
 MAX_SEMIPERIMETER = 12
 
-_PLAIN_STEPS = (Step.U, Step.D, Step.H)
-_SKEW_STEPS = (Step.U, Step.D, Step.H, Step.L)
-
 
 @dataclass
 class CountTable:
@@ -87,31 +84,28 @@ def _check_length(n: int, allow_large: bool) -> None:
 
 def _successors(
     variant: Variant, forbid_ud: bool, forbid_du: bool
-) -> dict[Step | None, tuple[tuple[Step, int], ...]]:
-    """The steps that may follow each last step (None before the first), with
-    their level changes, in U < D < H < L order.
+) -> dict[str, tuple[tuple[str, int], ...]]:
+    """The letters that may follow each last letter ("" before the first),
+    with their level changes, in U < D < H < L order.
 
     These are the adjacency rules: L only in the skew variant and never next
     to U, and no UD / DU factor when that filter is on.  Whether the level
     stays nonnegative is left to the search.
     """
-    skew = variant is Variant.SKEW
-    alphabet = _SKEW_STEPS if skew else _PLAIN_STEPS
-    table = {}
-    for last in (None,) + alphabet:
-        row = []
-        for step in alphabet:
-            if step is Step.U and (
-                (skew and last is Step.L) or (forbid_du and last is Step.D)
-            ):
-                continue
-            if step is Step.D and forbid_ud and last is Step.U:
-                continue
-            if step is Step.L and last is Step.U:
-                continue
-            row.append((step, step.delta))
-        table[last] = tuple(row)
-    return table
+    alphabet = "UDHL" if variant is Variant.SKEW else "UDH"
+    forbidden = {"UL", "LU"}
+    if forbid_ud:
+        forbidden.add("UD")
+    if forbid_du:
+        forbidden.add("DU")
+    return {
+        last: tuple(
+            (step, Step(step).delta)
+            for step in alphabet
+            if last + step not in forbidden
+        )
+        for last in ("", *alphabet)
+    }
 
 
 def enumerate_paths(
@@ -138,28 +132,27 @@ def _walk(
     n: int, successors: dict, excursions_only: bool
 ) -> Iterator[PathWord]:
     # One depth-first search on an explicit stack of pending prefixes, each
-    # with its level and last step.  Children are pushed in reverse so they
-    # pop in order; the words themselves are yielded by their parent.
+    # with its level.  Children are pushed in reverse so they pop in order;
+    # the words themselves are yielded by their parent.
     if n == 0:
-        yield PathWord(())
+        yield PathWord("")
         return
-    stack: list[tuple[tuple[Step, ...], int, int, Step | None]] = [
-        ((), 0, 0, None)
-    ]
+    stack: list[tuple[str, int]] = [("", 0)]
     pop = stack.pop
     push = stack.append
     while stack:
-        prefix, depth, level, last = pop()
+        prefix, level = pop()
+        depth = len(prefix)
         # an excursion must be able to walk back down in the steps left
         top = n - depth - 1 if excursions_only else n
         if depth == n - 1:
-            for step, delta in successors[last]:
+            for step, delta in successors[prefix[-1:]]:
                 if 0 <= level + delta <= top:
-                    yield PathWord(prefix + (step,))
+                    yield PathWord(prefix + step)
         else:
-            for step, delta in reversed(successors[last]):
+            for step, delta in reversed(successors[prefix[-1:]]):
                 if 0 <= level + delta <= top:
-                    push((prefix + (step,), depth + 1, level + delta, step))
+                    push((prefix + step, level + delta))
 
 
 def count_table(
@@ -179,44 +172,40 @@ def count_table(
     k = n_max // 2 + 1
     per_level = k * k
     per_length = (n_max + 1) * per_level
-    # moves[level > 0][last] holds (step, level change, index offset) for
-    # each step that _successors allows after last, steps coded by their
-    # place in codes (4: before the first step).  Only the level floor and
-    # the #UD / #DU counts are added here: no down step leaves level 0, and
-    # a UD or DU factor moves the index by k or 1 more.
-    codes = (Step.U, Step.D, Step.H, Step.L, None)
-    factors = {(Step.U, Step.D): k, (Step.D, Step.U): 1}
+    # rows[last][level > 0] holds (index offset, level change, rows[step])
+    # for each step that _successors allows after the letter last ("" before
+    # the first step), so a move carries the rows that follow it.  Only the
+    # level floor and the #UD / #DU counts are added here: no down step
+    # leaves level 0, and a UD or DU factor moves the index by k or 1 more.
+    factors = {"UD": k, "DU": 1}
     successors = _successors(variant, False, False)
-    moves = tuple(
-        [
-            tuple(
-                (codes.index(step), delta,
-                 per_length + delta * per_level + factors.get((last, step), 0))
-                for step, delta in successors.get(last, ())
-                if positive or delta >= 0
-            )
-            for last in codes
-        ]
-        for positive in (False, True)
-    )
+    rows = {last: ([], []) for last in successors}
+    for last, row in successors.items():
+        for step, delta in row:
+            move = (per_length + delta * per_level + factors.get(last + step, 0),
+                    delta, rows[step])
+            rows[last][1].append(move)
+            if delta >= 0:
+                rows[last][0].append(move)
     counts = [0] * ((n_max + 1) * per_length)
     penultimate = (n_max - 1) * per_length  # first word of length n_max - 1
 
-    def visit(index: int, level: int, last: int) -> None:
-        # count the word at index and its children: those of length n_max
-        # in this frame, the others in their own
+    def visit(index: int, level: int, moves: tuple) -> None:
+        # count the word at index, whose last letter's rows are moves, and
+        # its children: those of length n_max in this frame, the others in
+        # their own
         counts[index] += 1
         if index >= penultimate:
-            for _, _, offset in moves[level > 0][last]:
+            for offset, _, _ in moves[level > 0]:
                 counts[index + offset] += 1
             return
-        for step, delta, offset in moves[level > 0][last]:
-            visit(index + offset, level + delta, step)
+        for offset, delta, after in moves[level > 0]:
+            visit(index + offset, level + delta, after)
 
     if n_max == 0:
         counts[0] = 1
     else:
-        visit(0, 0, 4)
+        visit(0, 0, rows[""])
     entries = {}
     for index, count in enumerate(counts):
         if count:

@@ -1,15 +1,16 @@
 """Path words over the steps U, D, H, L.
 
-A word is a sequence of steps U (up, +1), D (down, -1), H (horizontal, 0) and,
-in the skew variant, L (a left-down step, -1).  A word is a *meander* when the
-running level never drops below zero, and an *excursion* when it also ends at
-level zero.  Skew words must additionally avoid the contiguous factors UL and
-LU (the walk may not immediately retrace a step).
+A word is a string of step letters U (up, +1), D (down, -1), H (horizontal,
+0) and, in the skew variant, L (a left-down step, -1).  A word is a *meander*
+when the running level never drops below zero, and an *excursion* when it
+also ends at level zero.  Skew words must additionally avoid the contiguous
+factors UL and LU (the walk may not immediately retrace a step).
 
 Two factor statistics drive everything downstream: the number of UD factors
-(peaks) and the number of DU factors (valleys).  Paths with neither factor are
-*cornerless*; cornerless excursions correspond to bargraphs by elevating the
-path and reading off the column heights, which is implemented here as
+(peaks) and the number of DU factors (valleys), so every rule on factors is a
+substring test on the letters.  Paths with neither factor are *cornerless*;
+cornerless excursions correspond to bargraphs by elevating the path and
+reading off the column heights, which is implemented here as
 ``to_bargraph`` / ``from_bargraph``.
 """
 
@@ -32,15 +33,10 @@ class Step(enum.Enum):
     @property
     def delta(self) -> int:
         """Level change contributed by this step."""
-        return _DELTA[self]
+        return _DELTA[self._value_]
 
 
-_DELTA = {Step.U: 1, Step.D: -1, Step.H: 0, Step.L: -1}
-
-# The per-step loops below key on the letter or test identity: a dict lookup
-# by member, as in ``Step.delta``, calls the Python-level ``Enum.__hash__``.
-_LETTER_DELTA = {s._value_: d for s, d in _DELTA.items()}
-_U, _D, _H = Step.U, Step.D, Step.H
+_DELTA = {"U": 1, "D": -1, "H": 0, "L": -1}
 
 
 class Variant(enum.Enum):
@@ -65,14 +61,19 @@ class PatternStats(NamedTuple):
 
 @dataclass(frozen=True)
 class PathWord:
-    """An immutable step sequence with lazily cached level data.
+    """An immutable word of step letters with lazily cached level data.
 
     ``end_level`` and ``min_level`` are computed together, in one walk, the
     first time either is read; they do not participate in equality, hashing
     or repr.
     """
 
-    steps: tuple[Step, ...]
+    letters: str
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """The letters as Step members (each letter is its member's name)."""
+        return tuple(map(Step.__members__.__getitem__, self.letters))
 
     @property
     def end_level(self) -> int:
@@ -88,8 +89,8 @@ class PathWord:
     def _levels(self) -> tuple[int, int]:
         lvl = 0
         low = 0
-        for s in self.steps:
-            lvl += _LETTER_DELTA[s._value_]
+        for ch in self.letters:
+            lvl += _DELTA[ch]
             if lvl < low:
                 low = lvl
         return lvl, low
@@ -101,24 +102,24 @@ class PathWord:
         >>> str(PathWord.parse("uhd"))
         'UHD'
         """
-        try:
-            return cls(tuple(Step(ch) for ch in text.upper()))
-        except ValueError:
+        letters = text.upper()
+        if not _DELTA.keys() >= set(letters):
             raise ValueError(
                 f"invalid step letter in {text!r}: expected only U, D, H, L"
-            ) from None
+            )
+        return cls(letters)
 
     def count(self, step: Step) -> int:
-        return self.steps.count(step)
+        return self.letters.count(step.value)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.letters)
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
 
     def __str__(self) -> str:
-        return "".join([s._value_ for s in self.steps])
+        return self.letters
 
 
 def classify(word: PathWord, variant: Variant) -> PathClass:
@@ -127,49 +128,38 @@ def classify(word: PathWord, variant: Variant) -> PathClass:
     Plain words may not contain L.  Skew words may not contain the contiguous
     factors UL or LU.  Either way the running level must stay nonnegative.
     """
-    if word.min_level < 0:
-        return PathClass.INVALID
-    steps = word.steps
+    w = word.letters
     if variant is Variant.PLAIN:
-        if Step.L in steps:
-            return PathClass.INVALID
+        off_rules = "L" in w
     else:
-        for a, b in zip(steps, steps[1:]):
-            if (a is Step.U and b is Step.L) or (a is Step.L and b is Step.U):
-                return PathClass.INVALID
+        off_rules = "UL" in w or "LU" in w
+    if off_rules or word.min_level < 0:
+        return PathClass.INVALID
     return PathClass.EXCURSION if word.end_level == 0 else PathClass.MEANDER
 
 
 def pattern_stats(word: PathWord) -> PatternStats:
-    """Count UD and DU factors in one pass."""
-    ud = 0
-    du = 0
-    for a, b in zip(word.steps, word.steps[1:]):
-        if a is Step.U and b is Step.D:
-            ud += 1
-        elif a is Step.D and b is Step.U:
-            du += 1
-    return PatternStats(ud, du)
+    """Count UD and DU factors; neither overlaps itself."""
+    return PatternStats(word.letters.count("UD"), word.letters.count("DU"))
 
 
 def is_peakless(word: PathWord) -> bool:
-    return pattern_stats(word).ud == 0
+    return "UD" not in word.letters
 
 
 def is_valleyless(word: PathWord) -> bool:
-    return pattern_stats(word).du == 0
+    return "DU" not in word.letters
 
 
 def is_cornerless(word: PathWord) -> bool:
-    stats = pattern_stats(word)
-    return stats.ud == 0 and stats.du == 0
+    return "UD" not in word.letters and "DU" not in word.letters
 
 
 def elevate(word: PathWord) -> PathWord:
     """Return U + word + D, defined for plain excursions only."""
     if classify(word, Variant.PLAIN) is not PathClass.EXCURSION:
         raise ValueError(f"cannot elevate {str(word)!r}: not a plain excursion")
-    return PathWord((Step.U,) + word.steps + (Step.D,))
+    return PathWord("U" + word.letters + "D")
 
 
 @dataclass(frozen=True)
@@ -221,34 +211,25 @@ def to_bargraph(word: PathWord) -> Bargraph:
     the elevated walk; those heights are the columns.  The empty word maps to
     the empty bargraph.
 
-    One pass checks the word too.  A word that is not a plain excursion is
+    The walk checks the word too.  A word that is not a plain excursion is
     reported as such before any UD or DU factor it has, as ``classify`` and
     ``pattern_stats`` would report it.
     """
     height = 1
-    prev = None
-    off_plain = False  # an L step, or a dip below level 0
-    corner = False
     cols = []
-    for s in word.steps:
-        if s is _H:
+    for ch in word.letters:
+        if ch == "H":
             cols.append(height)
-        elif s is _U:
-            if prev is _D:
-                corner = True
+        elif ch == "U":
             height += 1
-        elif s is _D:
-            if prev is _U:
-                corner = True
+        elif ch == "D" and height > 1:
             height -= 1
-            if height < 1:
-                off_plain = True
-        else:
-            off_plain = True
-        prev = s
-    if off_plain or height != 1:
+        else:  # an L step, or a dip below level 0
+            height = 0
+            break
+    if height != 1:
         raise ValueError(f"{str(word)!r} is not a plain excursion")
-    if corner:
+    if not is_cornerless(word):
         raise ValueError(f"{str(word)!r} is not cornerless (contains UD or DU)")
     return Bargraph(tuple(cols))
 
@@ -262,14 +243,10 @@ def from_bargraph(bargraph: Bargraph) -> PathWord:
     """
     if not bargraph.columns:
         raise ValueError("the empty bargraph has no path preimage")
-    steps: list[Step] = []
+    runs = []  # the rise or fall to each column, then back down to 1
     height = 1
     for h in bargraph.columns:
-        if h > height:
-            steps += (_U,) * (h - height)
-        elif h < height:
-            steps += (_D,) * (height - h)
-        steps.append(_H)
+        runs.append("U" * (h - height) if h >= height else "D" * (height - h))
         height = h
-    steps += (_D,) * (height - 1)
-    return PathWord(tuple(steps))
+    runs.append("D" * (height - 1))
+    return PathWord("H".join(runs))

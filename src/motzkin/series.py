@@ -764,13 +764,14 @@ def boundary_values(
     C0 comes from W by 2s*(C0[n] - G0[n]) = P[n+2] - W[n+2] - 2a*G0[n] (see
     the kernel pipeline comment), each coefficient as soon as W's is known.
     Numeric sigma and tau are substituted first, as in the whole pipeline;
-    unless one of them is a Fraction, every division is exact in integers.
+    unless one of them has a denominator other than 1, every division is
+    exact in integers.
     """
     a = _A[variant]
     p, q = _constant_terms(variant)[:2]
     delta = _terms_at(6, _times(p, p) + _shifted(q, -4, 2), sigma, tau)
     p = [c._terms for c in _terms_at(3, p, sigma, tau).coefficients()] + [{}]
-    exact = not isinstance(sigma, Fraction) and not isinstance(tau, Fraction)
+    exact = all(v is None or v.denominator == 1 for v in (sigma, tau))
     roots = _sqrt_terms([c._terms for c in delta.coefficients()], exact)
     c0: list[Poly] = []
     g0: dict[int, Rat] = {0: 1}  # G0[n] = C0[n-1], G0[0] = 1

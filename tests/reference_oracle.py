@@ -22,7 +22,7 @@ def enumerate_paths(
 
     def walk(depth, level):
         if depth == n:
-            yield PathWord(tuple(prefix))
+            yield PathWord("".join([step._value_ for step in prefix]))
             return
         last = prefix[-1] if prefix else None
         for step in alphabet:

@@ -83,7 +83,7 @@ def test_reading_levels_leaves_identity_alone():
         assert read == fresh
         assert hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
-        assert repr(read) == f"PathWord(steps={read.steps!r})"
+        assert repr(read) == f"PathWord(letters={read.letters!r})"
 
 
 class CountingWord(PathWord):
@@ -99,7 +99,7 @@ class CountingWord(PathWord):
 
 def test_classify_walks_a_skew_word_for_levels_once():
     CountingWord.walks = 0
-    w = CountingWord(word("UUDLH").steps)
+    w = CountingWord("UUDLH")
     assert classify(w, Variant.SKEW) is PathClass.EXCURSION
     assert CountingWord.walks == 1
     assert (w.end_level, w.min_level) == (0, 0)
@@ -223,12 +223,64 @@ def test_bijection_round_trip_small():
         assert to_bargraph(w) == b
 
 
+def _all_words(n_max):
+    """Every word over U, D, H, L of length at most n_max, built from the
+    Step product."""
+    for n in range(n_max + 1):
+        for steps in itertools.product(Step, repeat=n):
+            yield PathWord("".join([s._value_ for s in steps]))
+
+
+def _reference_classify(w, variant):
+    """classify as a running sum of Step.delta and a loop over step pairs."""
+    steps = w.steps
+    level = 0
+    for s in steps:
+        level += s.delta
+        if level < 0:
+            return PathClass.INVALID
+    if variant is Variant.PLAIN:
+        if Step.L in steps:
+            return PathClass.INVALID
+    else:
+        for a, b in zip(steps, steps[1:]):
+            if (a is Step.U and b is Step.L) or (a is Step.L and b is Step.U):
+                return PathClass.INVALID
+    return PathClass.EXCURSION if level == 0 else PathClass.MEANDER
+
+
+def _reference_pattern_stats(w):
+    """pattern_stats as one loop over step pairs."""
+    ud = 0
+    du = 0
+    steps = w.steps
+    for a, b in zip(steps, steps[1:]):
+        if a is Step.U and b is Step.D:
+            ud += 1
+        elif a is Step.D and b is Step.U:
+            du += 1
+    return PatternStats(ud, du)
+
+
+def test_factor_rules_match_the_step_pair_reference_exhaustively():
+    """Every word over U, D, H, L up to length 8: classify in both variants,
+    pattern_stats and the three predicates agree with the step-pair loops."""
+    for w in _all_words(8):
+        for variant in Variant:
+            assert classify(w, variant) is _reference_classify(w, variant), (w, variant)
+        stats = _reference_pattern_stats(w)
+        assert pattern_stats(w) == stats, w
+        assert is_peakless(w) is (stats.ud == 0), w
+        assert is_valleyless(w) is (stats.du == 0), w
+        assert is_cornerless(w) is (stats.ud == 0 and stats.du == 0), w
+
+
 def _reference_to_bargraph(w):
-    """The bargraph map as separate passes: classify, pattern_stats, then
-    the heights of the elevated walk by Step.delta."""
-    if classify(w, Variant.PLAIN) is not PathClass.EXCURSION:
+    """The bargraph map as separate passes: the reference classify and
+    pattern_stats, then the heights of the elevated walk by Step.delta."""
+    if _reference_classify(w, Variant.PLAIN) is not PathClass.EXCURSION:
         raise ValueError(f"{str(w)!r} is not a plain excursion")
-    stats = pattern_stats(w)
+    stats = _reference_pattern_stats(w)
     if stats.ud or stats.du:
         raise ValueError(f"{str(w)!r} is not cornerless (contains UD or DU)")
     height = 1
@@ -252,10 +304,8 @@ def test_to_bargraph_matches_reference_exhaustively():
     """Every word over U, D, H, L up to length 8: the same columns, or the
     same error, so a non-excursion with corners reports the excursion
     error first."""
-    for n in range(9):
-        for steps in itertools.product(Step, repeat=n):
-            w = PathWord(steps)
-            assert _outcome(to_bargraph, w) == _outcome(_reference_to_bargraph, w)
+    for w in _all_words(8):
+        assert _outcome(to_bargraph, w) == _outcome(_reference_to_bargraph, w)
 
 
 def test_from_bargraph_images_are_excursions():

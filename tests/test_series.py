@@ -559,23 +559,29 @@ def test_order_36_c0_is_the_division_reference_bytes(sigma, tau):
 
 
 def test_c0_recurrence_stays_on_integers(monkeypatch):
-    # symbolically and at integer sigma, tau, every W coefficient and every
-    # quotient on the way from rho = (P - W)/(2z^2) to C0 is an int
+    # symbolically and at integral sigma, tau (ints or Fractions with
+    # denominator 1), every W coefficient and every quotient on the way from
+    # rho = (P - W)/(2z^2) to C0 is an int, divided exactly
     quotients = []
     divide = series_module._divide
 
     def record(terms, d, exact):
         out = divide(terms, d, exact)
-        quotients.append(out)
+        quotients.append((out, exact))
         return out
 
     monkeypatch.setattr(series_module, "_divide", record)
+    cases = (
+        (None, None), (None, 2), (0, None), (1, -1), (2, 3),
+        (Fraction(1), Fraction(-1)), (Fraction(2), Fraction(3)),
+    )
     for variant in Variant:
-        for sigma, tau in ((None, None), (None, 2), (0, None), (1, -1), (2, 3)):
+        for sigma, tau in cases:
             quotients.clear()
             c0 = boundary_values(variant, 16, sigma, tau).total
             assert len(quotients) >= 17
-            for terms in quotients:
+            for terms, exact in quotients:
+                assert exact, (variant, sigma, tau)
                 assert all(type(value) is int for value in terms.values())
             for n in range(17):
                 for _, value in c0.coefficient(n).terms():
