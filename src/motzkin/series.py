@@ -26,17 +26,20 @@ and are built only when read; they divide by the kernel factor z*r1 - z*u,
 where z*r1 = N/C0 + z^2*D is one series division by C0 (the power-series
 root r2 = (P - z*r1)/z and W = 2*z*r1 - P follow by subtraction).  The
 boundary values are the same closed form at u = 0.
-Symbolically it runs in integers throughout.  Numeric u, sigma and tau go in
-before the work: they are substituted into the constants the pipeline starts
-from, so it runs on polynomials in fewer variables and gives the full result
-specialized (see the kernel pipeline comment for the formulas and why they
-hold).
+Numeric u, sigma and tau go in before the work: they are substituted into
+the constants the pipeline starts from, so it runs on polynomials in fewer
+variables and gives the full result specialized (see the kernel pipeline
+comment for the formulas and why they hold).  C0 and the total run in
+integers at any values: with q the lcm of the values' denominators they are
+worked out at z/q, where every constant has integer coefficients, and their
+z^n coefficients are divided by q^n once, at the end.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -332,9 +335,10 @@ def _add_products(
             _speedups.poly_acc(acc, terms, other, negate)
 
 
-def _divide(terms: dict[int, Rat], d: Rat, exact: bool) -> dict[int, Rat]:
+def _divide(terms: dict[int, Rat], d: Rat, exact: bool, name: str) -> dict[int, Rat]:
     """terms / d with the zeros dropped.  If exact, d must divide every
-    value in integers: a remainder raises ArithmeticError."""
+    value in integers: a remainder raises ArithmeticError, which names the
+    series whose coefficient was being divided."""
     if not exact:
         d = Fraction(d)
         return _speedups.clean_terms({key: value / d for key, value in terms.items()})
@@ -342,7 +346,7 @@ def _divide(terms: dict[int, Rat], d: Rat, exact: bool) -> dict[int, Rat]:
     for key, value in terms.items():
         quot, rem = divmod(value, d)
         if rem:
-            raise ArithmeticError(f"{d} does not divide a coefficient of C0")
+            raise ArithmeticError(f"{d} does not divide a coefficient of {name}")
         if quot:
             out[key] = quot
     return out
@@ -363,7 +367,7 @@ def _sqrt_terms(radicand: list[dict[int, Rat]], exact: bool) -> Iterator[dict]:
             if 3 * k != 2 * m and terms and window[-k]:
                 scaled = {key: (3 * k - 2 * m) * value for key, value in terms.items()}
                 _speedups.poly_acc(acc, scaled, window[-k])
-        window = (window + [_divide(acc, 2 * m, exact)])[1 - len(radicand) :]
+        window = (window + [_divide(acc, 2 * m, exact, "W")])[1 - len(radicand) :]
 
 
 class Series:
@@ -650,18 +654,102 @@ def specialize(
 # result, is the full symbolic one specialized (Banderier & Flajolet, "Basic
 # analytic combinatorics of directed lattice paths", 2002).  A numeric u != 0
 # is divided out as a number.
+#
+# Values with denominators keep C0 and T in integers by one more
+# homomorphism, z -> z/q with q the lcm of the denominators: the z^k
+# coefficient is multiplied by q^k.  A walk of length n has at most n of
+# end level, peaks and valleys together: each peak ends at a D step and each
+# valley starts at one, and the end level is at most #U - #D.  So C0, T and
+# W = P - 2z^2*rho stay integral at z/q, and so does every constant whose
+# z^k terms carry at most k powers of u, s and t.  Only the total's z*u^2
+# term breaks that, so its equation is multiplied by u's denominator r
+# first; its leading coefficient r*u is then u's numerator.
 
 
 def _terms_at(
     order: int,
-    terms: Iterable[tuple[int, int, int, int, Rat]],
+    terms: Iterable[tuple[int, int, int, int, int]],
     sigma: Optional[Rat],
     tau: Optional[Rat],
     u: Optional[Rat] = None,
+    scale: int = 1,
 ) -> Series:
-    """Series.from_terms after substituting the numeric ones of u, sigma, tau."""
-    coeffs = Series.from_terms(order, terms).coefficients()
-    return Series(tuple(p.substitute(u, sigma, tau) for p in coeffs), order)
+    """The series of (z power, e_u, e_s, e_t, int coeff) terms with the
+    numeric ones of u, sigma and tau substituted, at z/scale: a z^k term is
+    multiplied by scale^k.  Terms beyond the order are dropped.
+
+    With a scale, every term must come out an integer, as it does when the
+    substituted exponents in a z^k term sum to at most k and scale is a
+    multiple of the values' denominators; a term that does not raises
+    ArithmeticError.  Without one, the values stay exact rationals.
+    """
+    for value in (u, sigma, tau):
+        require_exact(value)
+    buckets: list[dict[int, Rat]] = [{} for _ in range(order + 1)]
+    for zpow, eu, es, et, coeff in terms:
+        if zpow > order:
+            continue
+        num, den = coeff * scale**zpow, 1
+        if u is not None and eu:
+            num, den, eu = num * u.numerator**eu, den * u.denominator**eu, 0
+        if sigma is not None and es:
+            num, den, es = num * sigma.numerator**es, den * sigma.denominator**es, 0
+        if tau is not None and et:
+            num, den, et = num * tau.numerator**et, den * tau.denominator**et, 0
+        if num % den == 0:
+            num //= den
+        elif scale == 1:
+            num = Fraction(num, den)
+        else:
+            raise ArithmeticError(
+                f"the z^{zpow} term of a constant leaves the integers at z/{scale}"
+            )
+        key = eu | es << _SHIFT | et << 2 * _SHIFT
+        bucket = buckets[zpow]
+        bucket[key] = bucket.get(key, 0) + num
+    return Series(tuple(Poly._raw(_speedups.clean_terms(b)) for b in buckets), order)
+
+
+def _unscaled(coeffs: Sequence[dict[int, int]], scale: int) -> Series:
+    """The series whose z^n coefficient is coeffs[n] / scale^n: a series
+    computed at z/scale taken back to z, one division per coefficient into
+    Fractions demoted to int where they divide, as dp_series does."""
+    if scale == 1:
+        return Series(tuple(map(Poly._raw, coeffs)))
+    out = []
+    for n, terms in enumerate(coeffs):
+        d = scale**n
+        acc: dict[int, Rat] = {}
+        for key, value in terms.items():
+            quot, rem = divmod(value, d)
+            acc[key] = Fraction(value, d) if rem else quot
+        out.append(Poly._raw(acc))
+    return Series(tuple(out))
+
+
+def _at_scale(coeffs: Sequence[Poly], scale: int) -> Sequence[Poly]:
+    """The coefficients of a series at z/scale, coeffs[n] * scale^n, which
+    must all be integers: a value that is not raises ArithmeticError."""
+    if scale == 1:
+        return coeffs
+    out = []
+    for n, poly in enumerate(coeffs):
+        terms = {}
+        for key, value in poly._terms.items():
+            factor, rem = divmod(scale**n, value.denominator)
+            if rem:
+                raise ArithmeticError(f"z^{n} of C0 leaves the integers at z/{scale}")
+            terms[key] = value.numerator * factor
+        out.append(Poly._raw(terms))
+    return out
+
+
+def _value_scale(*values: Optional[Rat]) -> int:
+    """q, the lcm of the numeric values' denominators: at z/q every constant
+    of the pipeline has integer coefficients."""
+    for value in values:
+        require_exact(value)
+    return math.lcm(*(v.denominator for v in values if v is not None))
 
 
 # a, the constant term of Q/z: the one number the two variants' constants
@@ -763,40 +851,48 @@ def boundary_values(
 
     C0 comes from W by 2s*(C0[n] - G0[n]) = P[n+2] - W[n+2] - 2a*G0[n] (see
     the kernel pipeline comment), each coefficient as soon as W's is known.
-    Numeric sigma and tau are substituted first, as in the whole pipeline;
-    unless one of them has a denominator other than 1, every division is
-    exact in integers.
+    Numeric sigma and tau are substituted first, as in the whole pipeline,
+    and the work runs at z/q, with q the lcm of their denominators, so every
+    division is exact in integers and a remainder raises ArithmeticError.
+    Each coefficient of C0 is divided by q^n once, at the end.
     """
     a = _A[variant]
+    scale = _value_scale(sigma, tau)
     p, q = _constant_terms(variant)[:2]
-    delta = _terms_at(6, _times(p, p) + _shifted(q, -4, 2), sigma, tau)
-    p = [c._terms for c in _terms_at(3, p, sigma, tau).coefficients()] + [{}]
-    exact = all(v is None or v.denominator == 1 for v in (sigma, tau))
-    roots = _sqrt_terms([c._terms for c in delta.coefficients()], exact)
-    c0: list[Poly] = []
-    g0: dict[int, Rat] = {0: 1}  # G0[n] = C0[n-1], G0[0] = 1
+    delta = _terms_at(6, _times(p, p) + _shifted(q, -4, 2), sigma, tau, None, scale)
+    p = [c._terms for c in _terms_at(3, p, sigma, tau, None, scale).coefficients()]
+    p.append({})
+    roots = _sqrt_terms([c._terms for c in delta.coefficients()], True)
+    # at z/q, with G0[n] = q*C0[n-1] and G0[0] = 1, C0's equation reads
+    #     2q^2*s*(C0[n] - G0[n]) = P[n+2] - W[n+2] - 2a*q^2*G0[n];
+    # a numeric sigma's denominator multiplies the right side
+    sq = scale * scale
+    mult = 1 if sigma is None or sigma == 0 else sigma.denominator
+    divisor = 2 * sq * (1 if sigma is None else sigma.numerator)
+    g0_mult = 2 * a * sq * mult
+    c0: list[dict[int, int]] = []
+    g0: dict[int, int] = {0: 1}
     last = order + (4 if sigma == 0 else 3)
     for m, w in enumerate(itertools.islice(roots, 2, last), 2):
-        acc = {key: -value for key, value in w.items()}  # 2*rho[m-2]
+        acc = {key: -mult * value for key, value in w.items()}
         for key, value in p[min(m, 4)].items():
-            acc[key] = acc.get(key, 0) + value
-        if sigma == 0:  # rho[n] = a*C0[n-1]
+            acc[key] = acc.get(key, 0) + mult * value
+        if sigma == 0:  # rho[n] = a*C0[n-1], and rho[n] is q^(-n-2)*acc/2
             if m > 2:
-                g0 = _divide(acc, 2 * a, exact)
-                c0.append(Poly._raw(g0))
+                c0.append(_divide(acc, 2 * a * sq * scale, True, "C0"))
             continue
         for key, value in g0.items():
-            acc[key] = acc.get(key, 0) - 2 * a * value
-        acc = _divide(acc, 2 if sigma is None else 2 * sigma, exact)
+            acc[key] = acc.get(key, 0) - g0_mult * value
+        acc = _divide(acc, divisor, True, "C0")
         if sigma is None:  # divide by s: shift its exponent
             if any(not key >> _SHIFT & _MASK for key in acc):
                 raise ArithmeticError(f"s does not divide z^{m - 2} of C0's equation")
             acc = {key - (1 << _SHIFT): value for key, value in acc.items()}
         for key, value in g0.items():
             acc[key] = acc.get(key, 0) + value
-        g0 = _speedups.clean_terms(acc)
-        c0.append(Poly._raw(g0))
-    total = Series(tuple(c0), order)
+        c0.append(_speedups.clean_terms(acc))
+        g0 = c0[-1] if scale == 1 else {k: scale * v for k, v in c0[-1].items()}
+    total = _unscaled(c0, scale)
     return ClosedForm(variant, order, total, total, Series.zero(order), sigma, tau)
 
 
@@ -838,34 +934,43 @@ def _total(
     z^n coefficient less the factor's z^1..z^3 coefficients against
     T[n-1..n-3], divided by u: symbolically a shift of the u exponent, which
     raises if a u-free term is left (then C0 does not solve its equation).
+    Like C0, T is worked out in integers at z/q, q now the lcm of the
+    denominators of sigma, tau and u, with the equation multiplied by u's
+    denominator (its z*u^2 term needs it).  A numeric u's place is then
+    taken by its numerator, which must divide exactly, and each coefficient
+    of T is divided by q^n once, at the end.
     """
+    scale = _value_scale(sigma, tau, u)
+    r = 1 if u is None else u.denominator
     p, q, num, z2d = _constant_terms(variant)[:4]
 
     def coeffs(terms: _Terms) -> tuple[Poly, ...]:
-        return _terms_at(order, terms, sigma, tau, u).coefficients()
+        return _terms_at(order, terms, sigma, tau, u, scale).coefficients()
 
     factor = _nonzero(
-        coeffs(_shifted(p, 1, 0, 1) + _shifted(q, -1, 1) + [(1, 2, 0, 0, -1)]), 1
+        coeffs(_shifted(p, r, 0, 1) + _shifted(q, -r, 1) + [(1, 2, 0, 0, -r)]), 1
     )
-    times_c0 = _nonzero(coeffs(_shifted(z2d, 1, 0, 1) + _shifted(q, -1, 1)))
-    u_num = coeffs(_shifted(num, 1, 0, 1))
-    inverse = None if u is None else _canon(1 / Fraction(u))
+    times_c0 = _nonzero(coeffs(_shifted(z2d, r, 0, 1) + _shifted(q, -r, 1)))
+    u_num = coeffs(_shifted(num, r, 0, 1))
+    c0 = _at_scale(c0, scale)
     total: list[Poly] = []
     for n in range(order + 1):
         acc = dict(u_num[n]._terms)
         _add_products(acc, times_c0, c0, n)
         _add_products(acc, factor, total, n, negate=True)
         terms = _speedups.clean_terms(acc)
-        if inverse is not None:
-            total.append(Poly._raw(terms).scale(inverse))
-            continue
-        if any(not key & _MASK for key in terms):
+        if u is not None:
+            if u.numerator != 1:
+                terms = _divide(terms, u.numerator, True, "T")
+        elif any(not key & _MASK for key in terms):
             raise ArithmeticError(
                 f"u does not divide z^{n} of the total's equation: "
                 "C0 does not solve its equation"
             )
-        total.append(Poly._raw({key - 1: value for key, value in terms.items()}))
-    return Series(tuple(total), order)
+        else:
+            terms = {key - 1: value for key, value in terms.items()}
+        total.append(Poly._raw(terms))
+    return _unscaled([poly._terms for poly in total], scale)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -558,34 +559,139 @@ def test_order_36_c0_is_the_division_reference_bytes(sigma, tau):
         assert got == reference_kernel.c0(variant, 36, sigma, tau).to_text()
 
 
-def test_c0_recurrence_stays_on_integers(monkeypatch):
-    # symbolically and at integral sigma, tau (ints or Fractions with
-    # denominator 1), every W coefficient and every quotient on the way from
-    # rho = (P - W)/(2z^2) to C0 is an int, divided exactly
-    quotients = []
-    divide = series_module._divide
+# (u, sigma, tau) for the cross-route check at rational values: each of
+# 1/2, 3/2 and -1/2 in each place, beside two pairs of the other values
+# drawn from sym, 0, 1, -1, and six points with two or three of them
+_RATIONALS = (HALF, THREE_HALVES, Fraction(-1, 2))
+_OTHERS = (None, 0, 1, -1)
+CROSS_ROUTE_POINTS = [
+    tuple(others[:place]) + (value,) + tuple(others[place:])
+    for i, (place, value) in enumerate(itertools.product(range(3), _RATIONALS))
+    for others in (
+        (_OTHERS[i % 4], _OTHERS[(i + 1) % 4]),
+        (_OTHERS[(i + 2) % 4], _OTHERS[(i + 3) % 4]),
+    )
+] + [
+    (HALF, THREE_HALVES, None),
+    (None, HALF, Fraction(-1, 2)),
+    (Fraction(-1, 2), 0, THREE_HALVES),
+    (THREE_HALVES, HALF, 1),
+    (HALF, Fraction(-1, 2), THREE_HALVES),
+    (Fraction(-1, 2), THREE_HALVES, HALF),
+]
 
-    def record(terms, d, exact):
-        out = divide(terms, d, exact)
-        quotients.append((out, exact))
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_closed_form_equals_dp_at_rational_values(variant):
+    # the closed form at z/q and the DP scaled by its common denominator are
+    # independent integer routes; they agree entrywise at order 36
+    assert len(set(CROSS_ROUTE_POINTS)) == len(CROSS_ROUTE_POINTS) == 24
+    for u, sigma, tau in CROSS_ROUTE_POINTS:
+        closed = closed_form(variant, 36, sigma, tau, u).total
+        assert closed == dp_series(36, variant, u, sigma, tau), (u, sigma, tau)
+
+
+def _record_integer_route(monkeypatch):
+    """Record each _divide call as (series name, exact, quotient) and the
+    coefficients each final division by q^n starts from."""
+    quotients, scaled = [], []
+    divide, unscaled = series_module._divide, series_module._unscaled
+
+    def record_divide(terms, d, exact, name):
+        out = divide(terms, d, exact, name)
+        quotients.append((name, exact, out))
         return out
 
-    monkeypatch.setattr(series_module, "_divide", record)
-    cases = (
+    def record_unscaled(coeffs, scale):
+        scaled.append(list(coeffs))
+        return unscaled(coeffs, scale)
+
+    monkeypatch.setattr(series_module, "_divide", record_divide)
+    monkeypatch.setattr(series_module, "_unscaled", record_unscaled)
+    return quotients, scaled
+
+
+def _all_ints(coeffs):
+    return all(type(value) is int for terms in coeffs for value in terms.values())
+
+
+# (sigma, tau, u) with a non-integer value: the pipeline runs at z/q
+RATIONAL_POINTS = [
+    (HALF, None, 1),
+    (None, THREE_HALVES, -1),
+    (HALF, THREE_HALVES, HALF),
+    (-1, HALF, THREE_HALVES),
+]
+
+
+def test_c0_recurrence_stays_on_integers(monkeypatch):
+    # symbolically and at any numeric sigma, tau (ints, Fractions with
+    # denominator 1 or not), every W coefficient and every quotient on the
+    # way from rho = (P - W)/(2z^2) to C0 is an int, divided exactly, until
+    # the one division of C0's z^n coefficient by q^n
+    quotients, scaled = _record_integer_route(monkeypatch)
+    integral = (
         (None, None), (None, 2), (0, None), (1, -1), (2, 3),
         (Fraction(1), Fraction(-1)), (Fraction(2), Fraction(3)),
     )
+    rational = tuple((sigma, tau) for sigma, tau, _ in RATIONAL_POINTS)
     for variant in Variant:
-        for sigma, tau in cases:
+        for sigma, tau in integral + rational:
             quotients.clear()
+            scaled.clear()
             c0 = boundary_values(variant, 16, sigma, tau).total
             assert len(quotients) >= 17
-            for terms, exact in quotients:
-                assert exact, (variant, sigma, tau)
-                assert all(type(value) is int for value in terms.values())
+            for name, exact, terms in quotients:
+                assert exact and name in ("W", "C0"), (variant, sigma, tau)
+                assert _all_ints([terms]), (variant, sigma, tau, name)
+            assert len(scaled) == 1 and _all_ints(scaled[0]), (variant, sigma, tau)
+            if (sigma, tau) in rational:
+                continue
             for n in range(17):
                 for _, value in c0.coefficient(n).terms():
                     assert type(value) is int, (variant, sigma, tau, n)
+
+
+def test_total_recurrence_stays_on_integers(monkeypatch):
+    # at non-integer values T's recurrence runs at z/q on ints; a numeric
+    # u's numerator, when not 1, is divided out exactly at every order
+    quotients, scaled = _record_integer_route(monkeypatch)
+    for variant in Variant:
+        for sigma, tau, u in RATIONAL_POINTS:
+            closed_form.cache_clear()
+            quotients.clear()
+            scaled.clear()
+            closed_form(variant, 16, sigma, tau, u)
+            for name, exact, terms in quotients:
+                assert exact, (variant, sigma, tau, u, name)
+                assert _all_ints([terms]), (variant, sigma, tau, u, name)
+            t_divisions = [terms for name, _, terms in quotients if name == "T"]
+            assert len(t_divisions) == (0 if u.numerator == 1 else 17)
+            assert len(scaled) == 2  # C0, then T
+            assert all(_all_ints(coeffs) for coeffs in scaled), (sigma, tau, u)
+    closed_form.cache_clear()
+
+
+def _put_delta_one_term_off(monkeypatch, coeff, k):
+    """Add coeff*t to Delta's z^k coefficient wherever boundary_values
+    builds Delta; the returned list gets the order of each build."""
+    terms_at = series_module._terms_at
+    hits = []
+
+    def off_by_one_term(order, terms, *values):
+        series = terms_at(order, terms, *values)
+        for variant in Variant:
+            p, q = series_module._constant_terms(variant)[:2]
+            delta = series_module._times(p, p) + series_module._shifted(q, -4, 2)
+            if list(terms) == delta:
+                hits.append(order)
+                coeffs = list(series.coefficients())
+                coeffs[k] = coeffs[k] + poly({(0, 0, 1): coeff})
+                series = Series(coeffs, series.order)
+        return series
+
+    monkeypatch.setattr(series_module, "_terms_at", off_by_one_term)
+    return hits
 
 
 @pytest.mark.parametrize(
@@ -595,24 +701,27 @@ def test_c0_recurrence_stays_on_integers(monkeypatch):
 def test_c0_recurrence_refuses_a_wrong_discriminant(monkeypatch, coeff, message, k):
     # Delta one term off at z^k: W or rho leaves the integers, or the
     # s-free part of rho - a*G0 does not vanish
-    terms_at = series_module._terms_at
-    hits = []
-
-    def off_by_one_term(order, terms, *values):
-        series = terms_at(order, terms, *values)
-        p, q = series_module._constant_terms(variant)[:2]
-        if list(terms) == series_module._times(p, p) + series_module._shifted(q, -4, 2):
-            hits.append(order)
-            coeffs = list(series.coefficients())
-            coeffs[k] = coeffs[k] + poly({(0, 0, 1): coeff})
-            series = Series(coeffs, series.order)
-        return series
-
-    monkeypatch.setattr(series_module, "_terms_at", off_by_one_term)
+    hits = _put_delta_one_term_off(monkeypatch, coeff, k)
     for variant in Variant:
         hits.clear()
         with pytest.raises(ArithmeticError, match=message):
             boundary_values(variant, 12)
+        assert len(hits) == 1
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    [(1, "does not divide a coefficient of W"), (4, "does not divide a coefficient of C0")],
+)
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_scaled_c0_recurrence_refuses_a_wrong_discriminant(monkeypatch, coeff, message, k):
+    # the same wrong Delta at sigma = 1/2, where C0 is worked out at z/2:
+    # W or C0 leaves the integers and an exact division raises
+    hits = _put_delta_one_term_off(monkeypatch, coeff, k)
+    for variant in Variant:
+        hits.clear()
+        with pytest.raises(ArithmeticError, match=message):
+            boundary_values(variant, 12, HALF)
         assert len(hits) == 1
 
 
@@ -645,8 +754,10 @@ def test_symbolic_u_rechecks_c0_at_every_order(monkeypatch):
     closed_form.cache_clear()
     with pytest.raises(ArithmeticError, match="z\\^8"):
         closed_form(Variant.SKEW, 12)
-    # a numeric u has no u-free part to check; it divides by the number
-    closed_form(Variant.SKEW, 12, None, None, 2)
+    # a numeric u has no u-free part to check, but its numerator must divide
+    # every coefficient in integers, and the wrong C0 breaks that too
+    with pytest.raises(ArithmeticError, match="2 does not divide a coefficient of T"):
+        closed_form(Variant.SKEW, 12, None, None, 2)
     closed_form.cache_clear()
 
 
