@@ -665,8 +665,8 @@ def test_total_recurrence_stays_on_integers(monkeypatch):
             for name, exact, terms in quotients:
                 assert exact, (variant, sigma, tau, u, name)
                 assert _all_ints([terms]), (variant, sigma, tau, u, name)
-            t_divisions = [terms for name, _, terms in quotients if name == "T"]
-            assert len(t_divisions) == (0 if u.numerator == 1 else 17)
+            t_divisions = sum(name == "T" for name, _, _ in quotients)
+            assert t_divisions == (0 if u.numerator == 1 else 17)
             assert len(scaled) == 2  # C0, then T
             assert all(_all_ints(coeffs) for coeffs in scaled), (sigma, tau, u)
     closed_form.cache_clear()
