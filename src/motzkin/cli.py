@@ -35,6 +35,10 @@ CHECK_MAX_N = {Variant.PLAIN: 14, Variant.SKEW: 12}
 # a few seconds), so it gets its own bound instead of the enumeration cap
 MAX_COUNT_LEN = 60
 
+# `bargraph --columns` prints a path whose length grows with the heights,
+# not with the argument's size, so that length is bounded before the walk
+MAX_BARGRAPH_PATH_LEN = 10**6
+
 OEIS_URL = "https://oeis.org/{id}/b{digits}.txt"
 OEIS_TIMEOUT = 10.0
 
@@ -380,9 +384,17 @@ def cmd_bargraph(args: argparse.Namespace) -> int:
         print(f"semiperimeter: {graph.semiperimeter}")
     else:
         graph = Bargraph.parse(args.columns)
+        semiperimeter = graph.semiperimeter
+        # from_bargraph's path has 2 * semiperimeter - width - 2 letters
+        length = 2 * semiperimeter - len(graph) - 2
+        if length > MAX_BARGRAPH_PATH_LEN:
+            raise ValueError(
+                f"these columns give a path of {length} letters, over the "
+                f"bound {MAX_BARGRAPH_PATH_LEN}"
+            )
         word = from_bargraph(graph)
         print(f"path: {word}")
-        print(f"semiperimeter: {graph.semiperimeter}")
+        print(f"semiperimeter: {semiperimeter}")
     return OK
 
 

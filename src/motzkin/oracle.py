@@ -240,18 +240,20 @@ def _grow(semiperimeter: int) -> Iterator[Bargraph]:
     # One depth-first search on an explicit stack of pending column
     # prefixes, each with the semiperimeter it uses and its last height.
     # Heights stop at last + semiperimeter - used - 1, whose cost uses up
-    # the rest exactly, so no child overshoots.
+    # the rest exactly, so no child overshoots.  Every height is >= 1, so
+    # the bargraphs skip the height check.
+    of = Bargraph._of
     stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     pop = stack.pop
     push = stack.append
     while stack:
         columns, used, last = pop()
         if used == semiperimeter:
-            yield Bargraph(columns)
+            yield of(columns)
         elif used == semiperimeter - 1:
             # only columns no higher than the last one fit
             for h in range(1, last + 1):
-                yield Bargraph(columns + (h,))
+                yield of(columns + (h,))
         else:
             for h in range(last + semiperimeter - used - 1, 0, -1):
                 push((columns + (h,), used + 1 + max(0, h - last), h))

@@ -177,6 +177,16 @@ class Bargraph:
         if self.columns and min(self.columns) < 1:
             raise ValueError(f"column heights must be >= 1, got {self.columns}")
 
+    @classmethod
+    def _of(cls, columns: tuple[int, ...]) -> "Bargraph":
+        """A bargraph built without the height check, for callers whose
+        heights are >= 1 by construction: the oracle's search and the walk
+        of ``to_bargraph``.  Every other construction goes through
+        ``Bargraph(...)``, which checks."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "columns", columns)
+        return graph
+
     @property
     def semiperimeter(self) -> int:
         if not self.columns:
@@ -231,7 +241,8 @@ def to_bargraph(word: PathWord) -> Bargraph:
         raise ValueError(f"{str(word)!r} is not a plain excursion")
     if not is_cornerless(word):
         raise ValueError(f"{str(word)!r} is not cornerless (contains UD or DU)")
-    return Bargraph(tuple(cols))
+    # a height is recorded only while it is >= 1
+    return Bargraph._of(tuple(cols))
 
 
 def from_bargraph(bargraph: Bargraph) -> PathWord:

@@ -16,7 +16,8 @@ from motzkin.cli import (
     anchors_for,
     main,
 )
-from motzkin.paths import Variant
+from motzkin.oracle import CountTable
+from motzkin.paths import Bargraph, Variant
 from motzkin.series import Series, closed_form
 from reference_output import series_json_text, series_text
 
@@ -361,6 +362,27 @@ def test_bargraph_rejects_bad_columns(capsys):
     assert rc == 2
 
 
+def test_bargraph_bounds_the_path_of_huge_columns(capsys, monkeypatch):
+    # the path is 2 * semiperimeter - width - 2 letters long; the bound is
+    # checked before from_bargraph walks a single height
+    walked = []
+    monkeypatch.setattr(cli, "from_bargraph", walked.append)
+    rc, out, err = run(capsys, "bargraph", "--columns", "1000000000")
+    assert (rc, out, walked) == (2, "", [])
+    assert err == (
+        "error: these columns give a path of 1999999999 letters, over the "
+        f"bound {cli.MAX_BARGRAPH_PATH_LEN}\n"
+    )
+    monkeypatch.undo()
+    # the longest path within the bound is still printed
+    rc, out, _ = run(capsys, "bargraph", "--columns", "500000,1")
+    assert rc == 0
+    assert len(out.splitlines()[0]) == len("path: ") + cli.MAX_BARGRAPH_PATH_LEN
+    rc, _, err = run(capsys, "bargraph", "--columns", "500001")
+    assert rc == 2
+    assert "1000001 letters" in err
+
+
 def test_bargraph_requires_exactly_one_input(capsys):
     rc, _, err = run(capsys, "bargraph")
     assert rc == 2
@@ -390,6 +412,75 @@ def test_check_skew(capsys):
         "dp-vs-closed (skew, order 8)",
     ]
     assert all(": PASS" in line for line in out.splitlines())
+
+
+def _check_output(capsys, *argv):
+    rc, out, err = run(capsys, "check", "--variant", "plain", *argv)
+    assert err == ""
+    return rc, out.splitlines()
+
+
+@pytest.mark.parametrize("letters, line", [
+    # "UHD" is the fourth cornerless excursion, after "", "H" and "HH"
+    ("UHD", "bijection-round-trip (n <= 4): 4 compared: FAIL "
+            "(word 'UHD' round-trips to 'H')"),
+    # "UUHDD" (the column 3) is longer than 4, so only the bargraph side
+    # meets it: after the 9 words, it is the last of the 8 bargraphs of
+    # semiperimeter <= 4
+    ("UUHDD", "bijection-round-trip (n <= 4): 17 compared: FAIL "
+              "(bargraph 3 round-trips to 1)"),
+])
+def test_check_fails_on_a_wrong_bargraph_image(capsys, monkeypatch, letters, line):
+    # the wrong image is a trusted bargraph, as the real map returns; only
+    # the round trip stands between it and a PASS
+    real = cli.to_bargraph
+
+    def wrong_once(word):
+        return Bargraph._of((1,)) if word.letters == letters else real(word)
+
+    monkeypatch.setattr(cli, "to_bargraph", wrong_once)
+    rc, lines = _check_output(capsys, "--max-n", "4")
+    assert rc == 1
+    assert lines[2] == line
+    assert ": PASS" in lines[0] and ": PASS" in lines[1]
+
+
+def test_check_fails_on_a_wrong_dp_count(capsys, monkeypatch):
+    real = cli.dp_count
+
+    def wrong_once(n_max, variant, **kw):
+        table = real(n_max, variant, **kw)
+        entries = dict(table.entries)
+        entries[(2, 0, 1, 0)] += 1  # the word UD
+        return CountTable(variant, n_max, entries)
+
+    monkeypatch.setattr(cli, "dp_count", wrong_once)
+    rc, lines = _check_output(capsys, "--max-n", "4")
+    assert rc == 1
+    assert lines[0] == (
+        "oracle-vs-dp (plain, n <= 4): 26 compared: FAIL "
+        "(first mismatch at (n=2, j=0, ud=1, du=0): oracle=1, dp=2)"
+    )
+    assert ": PASS" in lines[1] and ": PASS" in lines[2]
+
+
+def test_check_fails_on_a_wrong_dp_series(capsys, monkeypatch):
+    real = cli.dp_series
+
+    def wrong_once(order, variant, *values):
+        # one more term z^3 sigma: a fresh series, so the cached one is kept
+        return real(order, variant, *values) + Series.from_terms(
+            order, [(3, 0, 1, 0, 1)]
+        )
+
+    monkeypatch.setattr(cli, "dp_series", wrong_once)
+    rc, lines = _check_output(capsys, "--max-n", "4")
+    assert rc == 1
+    assert lines[1] == (
+        "dp-vs-closed (plain, order 4): 5 compared: FAIL "
+        "(first mismatch at (n=3, j=0, ud=0, du=1): dp=1, closed=0)"
+    )
+    assert ": PASS" in lines[0] and ": PASS" in lines[2]
 
 
 def test_check_bound_error(capsys):

@@ -20,7 +20,7 @@ from motzkin.paths import (
     pattern_stats,
     to_bargraph,
 )
-from motzkin.oracle import enumerate_bargraphs, enumerate_paths
+from motzkin.oracle import MAX_SEMIPERIMETER, enumerate_bargraphs, enumerate_paths
 
 
 def word(text):
@@ -182,6 +182,33 @@ def test_bargraph_parse_and_str():
     with pytest.raises(ValueError):
         Bargraph.parse("2,0")
     assert Bargraph.parse("").columns == ()
+
+
+def test_trusted_bargraphs_behave_like_checked_ones():
+    # the oracle's search and to_bargraph build their bargraphs without the
+    # height check; each must be the bargraph that the check would build
+    trusted = [
+        graph
+        for s in range(1, MAX_SEMIPERIMETER + 1)
+        for graph in enumerate_bargraphs(s)
+    ]
+    trusted += [
+        to_bargraph(w)
+        for n in range(13)
+        for w in enumerate_paths(n, Variant.PLAIN, forbid_ud=True,
+                                 forbid_du=True, excursions_only=True)
+    ]
+    for graph in trusted:
+        checked = Bargraph(graph.columns)
+        assert graph == checked
+        assert hash(graph) == hash(checked)
+        assert repr(graph) == repr(checked)
+        assert str(graph) == str(checked)
+    # the checked constructions still refuse a height below 1
+    with pytest.raises(ValueError):
+        Bargraph((1, 0, 2))
+    with pytest.raises(ValueError):
+        Bargraph.parse("2,0")
 
 
 def test_bargraph_semiperimeter():
