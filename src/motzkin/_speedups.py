@@ -1,11 +1,16 @@
-"""Sparse polynomial products, the hot loop of the series engine.
+"""Sparse polynomial products of the series engine.
 
 Polynomials are dicts mapping packed exponent keys to int or Fraction
-coefficients; adding two keys multiplies the monomials.
+coefficients; adding two keys multiplies the monomials.  They serve
+``Series`` products and divisions and W's recurrence.  The total's
+recurrence, once the hot loop of a symbolic series, runs the same loop,
+``_accumulate``, on coefficients packed in u: one int per (s, t) monomial
+and so a few products per monomial of T instead of one per term.
 
 ``perfbench/tracer.py`` wraps ``poly_acc`` and ``poly_mul`` to count
 products, so ``poly_mul`` shares the loop through ``_accumulate`` rather
-than calling ``poly_acc``: each product is then counted once.
+than calling ``poly_acc``: each product is then counted once.  The
+total's packed products call ``_accumulate`` directly and are not counted.
 """
 
 from __future__ import annotations

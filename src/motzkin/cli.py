@@ -35,6 +35,11 @@ CHECK_MAX_N = {Variant.PLAIN: 14, Variant.SKEW: 12}
 # a few seconds), so it gets its own bound instead of the enumeration cap
 MAX_COUNT_LEN = 60
 
+# `series` works and prints in time and memory that grow about as the fourth
+# power of the order; at order 60 the symbolic skew DP, the slowest engine,
+# takes about 2.3 s and the text runs to 6.6 MB
+MAX_SERIES_ORDER = 60
+
 # `bargraph --columns` prints a path whose length grows with the heights,
 # not with the argument's size, so that length is bounded before the walk
 MAX_BARGRAPH_PATH_LEN = 10**6
@@ -276,12 +281,14 @@ def _parse_value(text: str, flag: str) -> Optional[Rat]:
     return value.numerator if value.denominator == 1 else value
 
 
-def _check_length_bound(n: int, bound: int, unbounded: bool) -> None:
+def _check_length_bound(
+    n: int, bound: int, unbounded: bool, name: str = "--n"
+) -> None:
     if n < 0:
-        raise ValueError("--n must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     if n > bound and not unbounded:
         raise ValueError(
-            f"--n {n} exceeds the bound {bound}; pass --unbounded to override"
+            f"{name} {n} exceeds the bound {bound}; pass --unbounded to override"
         )
 
 
@@ -308,9 +315,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
-    order = args.order if args.order is not None else default_order()
-    if order < 0:
-        raise ValueError("--order must be nonnegative")
+    if args.order is not None:
+        order, name = args.order, "--order"
+    else:
+        order, name = default_order(), "MOTZKIN_ORDER"
+    _check_length_bound(order, MAX_SERIES_ORDER, args.unbounded, name)
     u = _parse_value(args.u, "--u")
     sigma = _parse_value(args.sigma, "--sigma")
     tau = _parse_value(args.tau, "--tau")
@@ -515,6 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", default="sym", help="value for tau, or 'sym'")
     p.add_argument("--engine", choices=["dp", "closed", "both"], default="closed")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--unbounded", action="store_true",
+                   help=f"allow an order beyond {MAX_SERIES_ORDER}")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("paths", help="list walks of a given length")

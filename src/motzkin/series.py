@@ -32,7 +32,10 @@ variables and gives the full result specialized (see the kernel pipeline
 comment for the formulas and why they hold).  C0 and the total run in
 integers at any values: with q the lcm of the values' denominators they are
 worked out at z/q, where every constant has integer coefficients, and their
-z^n coefficients are divided by q^n once, at the end.
+z^n coefficients are divided by q^n once, at the end.  The total is dense in
+u, so its recurrence holds each coefficient as one int per monomial in s and
+t, the u-polynomial evaluated at u = 2^width (Kronecker substitution), with
+a width proven to hold every coefficient; each is unpacked once, at the end.
 """
 
 from __future__ import annotations
@@ -664,6 +667,25 @@ def specialize(
 # z^k terms carry at most k powers of u, s and t.  Only the total's z*u^2
 # term breaks that, so its equation is multiplied by u's denominator r
 # first; its leading coefficient r*u is then u's numerator.
+#
+# T's z^n coefficient is a polynomial of degree n in u, and a dense one (at
+# order 28 its terms fill 99% of the u-slots their (s, t) monomials span).
+# So a symbolic u is packed (Kronecker substitution in one variable;
+# Harvey, "Faster polynomial multiplication via multipoint Kronecker
+# substitution", JSC 44, 2009): each coefficient of T and of the constants
+# is a dict from (s, t) keys to the u-polynomial evaluated at u = 2^width,
+# slot e holding u^e's coefficient, signed.  Sums and products are the
+# polynomials' own, being those of a ring homomorphism Z[u] -> Z; dividing
+# by u is a test that the low slot is zero and a right shift.  The slots
+# decode only if every coefficient of T at z/q lies strictly inside
+# +-2^(width - 1), so width is one more than the bit length of
+# (4*ceil(q*M))^order, M = max(1, |sigma|, |tau|) over the numeric values:
+# T[n] at z/q sums q^n*sigma^#DU*tau^#UD over at most 4^n words, and as
+# #UD + #DU <= n each term is at most (q*M)^n in size.  A u-free remainder
+# smaller than 2^width shows in the low slot, so C0 is still re-checked at
+# every order.  A numeric u needs no slots: the same loop runs on plain ints
+# (width 0).  Only u is packed, and only here: a box over z, s and t as
+# well would be about 98% empty.
 
 
 def _terms_at(
@@ -727,23 +749,6 @@ def _unscaled(coeffs: Sequence[dict[int, int]], scale: int) -> Series:
     return Series(tuple(out))
 
 
-def _at_scale(coeffs: Sequence[Poly], scale: int) -> Sequence[Poly]:
-    """The coefficients of a series at z/scale, coeffs[n] * scale^n, which
-    must all be integers: a value that is not raises ArithmeticError."""
-    if scale == 1:
-        return coeffs
-    out = []
-    for n, poly in enumerate(coeffs):
-        terms = {}
-        for key, value in poly._terms.items():
-            factor, rem = divmod(scale**n, value.denominator)
-            if rem:
-                raise ArithmeticError(f"z^{n} of C0 leaves the integers at z/{scale}")
-            terms[key] = value.numerator * factor
-        out.append(Poly._raw(terms))
-    return out
-
-
 def _value_scale(*values: Optional[Rat]) -> int:
     """q, the lcm of the numeric values' denominators: at z/q every constant
     of the pipeline has integer coefficients."""
@@ -801,7 +806,9 @@ class ClosedForm:
     total is built with the object; the layers are built from it the first
     time they are read.  f: walks whose last step was U; g: empty walk or
     last step H; h: last step D; k: last step L (skew only, None
-    otherwise).  c0 is the u=0 total; the layers' divisor kernel,
+    otherwise).  c0 is the u=0 total; boundary_values also keeps it as the
+    total's recurrence reads it, c0_at_scale = (q, the term dicts of its z^n
+    coefficients times q^n, all ints).  The layers' divisor kernel,
     z*r1 - z*u with z*r1 = N/c0 + z^2*D, is built the first time a layer
     needs it.  At u = 0 (see boundary_values) total is c0, kernel is z*r1
     and the layers are the boundary values G(0), H(0) and K(0).
@@ -814,6 +821,9 @@ class ClosedForm:
     zu: Series = field(repr=False)
     sigma: Optional[Rat] = field(default=None, repr=False)
     tau: Optional[Rat] = field(default=None, repr=False)
+    c0_at_scale: Optional[tuple[int, Sequence[dict[int, int]]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @functools.cached_property
     def kernel(self) -> Series:
@@ -893,7 +903,8 @@ def boundary_values(
         c0.append(_speedups.clean_terms(acc))
         g0 = c0[-1] if scale == 1 else {k: scale * v for k, v in c0[-1].items()}
     total = _unscaled(c0, scale)
-    return ClosedForm(variant, order, total, total, Series.zero(order), sigma, tau)
+    zero = Series.zero(order)
+    return ClosedForm(variant, order, total, total, zero, sigma, tau, (scale, c0))
 
 
 def kernel_zr1(
@@ -920,57 +931,110 @@ def kernel_w(
     return zr1.scale(2) - kernel_sum(variant, order, sigma, tau)
 
 
+def _slot_width(order: int, scale: int, *values: Optional[Rat]) -> int:
+    """Bits per u slot of the total's packed coefficients up to z^order: one
+    more than the bit length of (4*ceil(q*M))^order, M = max(1, |values|)."""
+    m = max([1] + [abs(value) for value in values if value is not None])
+    return ((4 * math.ceil(scale * m)) ** order).bit_length() + 1
+
+
+def _pack_u(terms: dict[int, int], width: int) -> dict[int, int]:
+    """{(s, t) key: the u-polynomial at u = 2^width} of a term dict: each
+    u^e term lands in slot e.  At width 0 (no u) the terms come back as
+    they are, less zeros."""
+    out: dict[int, int] = {}
+    for key, value in terms.items():
+        eu = key & _MASK
+        out[key - eu] = out.get(key - eu, 0) + (value << width * eu)
+    return {key: value for key, value in out.items() if value}
+
+
+def _unpack_u(packed: dict[int, int], width: int) -> dict[int, int]:
+    """The term dict of a coefficient packed by _pack_u.  Slots are signed:
+    each must lie strictly inside +-2^(width - 1)."""
+    if not width:
+        return packed
+    out = {}
+    mask, half, full = (1 << width) - 1, 1 << width - 1, 1 << width
+    for key, value in packed.items():
+        while value:
+            slot = value & mask
+            value >>= width
+            if slot >= half:  # a negative slot borrowed one from the next
+                slot -= full
+                value += 1
+            if slot:
+                out[key] = slot
+            key += 1
+    return out
+
+
 def _total(
     variant: Variant,
     order: int,
     sigma: Optional[Rat],
     tau: Optional[Rat],
     u: Optional[Rat],
-    c0: tuple[Poly, ...],
+    c0_at_scale: tuple[int, Sequence[dict[int, int]]],
 ) -> Series:
     """T from (P*u - Q - z*u^2)*T = u*N + (u*z^2*D - Q)*C0, for u not 0.
 
     The left factor's z^0 coefficient is u, so T[n] is the right side's
     z^n coefficient less the factor's z^1..z^3 coefficients against
-    T[n-1..n-3], divided by u: symbolically a shift of the u exponent, which
-    raises if a u-free term is left (then C0 does not solve its equation).
-    Like C0, T is worked out in integers at z/q, q now the lcm of the
-    denominators of sigma, tau and u, with the equation multiplied by u's
-    denominator (its z*u^2 term needs it).  A numeric u's place is then
-    taken by its numerator, which must divide exactly, and each coefficient
-    of T is divided by q^n once, at the end.
+    T[n-1..n-3], divided by u.  Like C0, T is worked out in integers at
+    z/q, q now the lcm of the denominators of sigma, tau and u, with the
+    equation multiplied by u's denominator (its z*u^2 term needs it); C0
+    comes at z/q' (q' from sigma and tau) as c0_at_scale = (q', its
+    coefficients) and is taken to z/q in integers.  A symbolic u is packed
+    (see the kernel pipeline comment): every coefficient is a dict of (s, t)
+    keys to one int, and dividing by u drops the low slot, which raises if
+    it is not zero (then C0 does not solve its equation).  A numeric u's
+    place is taken by its numerator, which must divide exactly.  Each
+    coefficient of T is unpacked and divided by q^n once, at the end.
     """
     scale = _value_scale(sigma, tau, u)
     r = 1 if u is None else u.denominator
+    width = 0 if u is not None else _slot_width(order, scale, sigma, tau)
     p, q, num, z2d = _constant_terms(variant)[:4]
 
-    def coeffs(terms: _Terms) -> tuple[Poly, ...]:
-        return _terms_at(order, terms, sigma, tau, u, scale).coefficients()
+    def packed(terms: _Terms, start: int = 0) -> list[tuple[int, dict[int, int]]]:
+        coeffs = _terms_at(order, terms, sigma, tau, u, scale).coefficients()
+        pairs = ((j, _pack_u(c._terms, width)) for j, c in enumerate(coeffs))
+        return [(j, c) for j, c in pairs if j >= start and c]
 
-    factor = _nonzero(
-        coeffs(_shifted(p, r, 0, 1) + _shifted(q, -r, 1) + [(1, 2, 0, 0, -r)]), 1
-    )
-    times_c0 = _nonzero(coeffs(_shifted(z2d, r, 0, 1) + _shifted(q, -r, 1)))
-    u_num = coeffs(_shifted(num, r, 0, 1))
-    c0 = _at_scale(c0, scale)
-    total: list[Poly] = []
+    factor = packed(_shifted(p, r, 0, 1) + _shifted(q, -r, 1) + [(1, 2, 0, 0, -r)], 1)
+    times_c0 = packed(_shifted(z2d, r, 0, 1) + _shifted(q, -r, 1))
+    u_num = dict(packed(_shifted(num, r, 0, 1)))
+    c0_scale, c0 = c0_at_scale
+    ratio = scale // c0_scale  # C0 at z/q' to z/q: times ratio^n
+    if ratio != 1:
+        c0 = [
+            {key: value * power for key, value in terms.items()}
+            for n, terms in enumerate(c0)
+            for power in (ratio**n,)
+        ]
+    low = (1 << width) - 1
+    total: list[dict[int, int]] = []
     for n in range(order + 1):
-        acc = dict(u_num[n]._terms)
-        _add_products(acc, times_c0, c0, n)
-        _add_products(acc, factor, total, n, negate=True)
-        terms = _speedups.clean_terms(acc)
+        acc = dict(u_num.get(n, ()))
+        for pairs, seq, negate in ((times_c0, c0, False), (factor, total, True)):
+            for j, terms in pairs:
+                if j > n:
+                    break
+                _speedups._accumulate(acc, terms, seq[n - j], negate)
+        acc = {key: value for key, value in acc.items() if value}
         if u is not None:
             if u.numerator != 1:
-                terms = _divide(terms, u.numerator, True, "T")
-        elif any(not key & _MASK for key in terms):
+                acc = _divide(acc, u.numerator, True, "T")
+        elif any(value & low for value in acc.values()):
             raise ArithmeticError(
                 f"u does not divide z^{n} of the total's equation: "
                 "C0 does not solve its equation"
             )
         else:
-            terms = {key - 1: value for key, value in terms.items()}
-        total.append(Poly._raw(terms))
-    return _unscaled([poly._terms for poly in total], scale)
+            acc = {key: value >> width for key, value in acc.items()}
+        total.append(acc)
+    return _unscaled([_unpack_u(terms, width) for terms in total], scale)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -993,5 +1057,7 @@ def closed_form(
     if u == 0:
         return bnd
     zu = _terms_at(order, [(1, 1, 0, 0, 1)], sigma, tau, u)
-    total = _total(variant, order, sigma, tau, u, bnd.c0.coefficients())
+    # a closed form built by hand has no c0_at_scale; its c0 must be integral
+    c0_at_scale = bnd.c0_at_scale or (1, [c._terms for c in bnd.c0.coefficients()])
+    total = _total(variant, order, sigma, tau, u, c0_at_scale)
     return ClosedForm(variant, order, total, bnd.c0, zu, sigma, tau)

@@ -144,6 +144,64 @@ def test_series_order_zero(capsys):
     assert out == "z^0: 1\n"
 
 
+def _refuse_work(monkeypatch):
+    """Make either engine raise if a series request gets as far as one."""
+    def refuse(*args):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(cli, "closed_form", refuse)
+    monkeypatch.setattr(cli, "dp_series", refuse)
+
+
+def test_series_order_bound(capsys, monkeypatch):
+    # the bound is checked before either engine runs, in the words `count`
+    # and `paths` use, and whatever the engine or values asked for
+    bound = cli.MAX_SERIES_ORDER
+    assert bound >= 36  # the highest order the benchmark asks for
+    _refuse_work(monkeypatch)
+    for extra in ((), ("--engine", "both"), ("--engine", "dp", "--u", "1/2")):
+        rc, out, err = run(capsys, "series", "--order", str(bound + 1), *extra)
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: --order {bound + 1} exceeds the bound {bound}; "
+            "pass --unbounded to override\n"
+        )
+    rc, out, err = run(capsys, "series", "--order", "-1")
+    assert (rc, out, err) == (2, "", "error: --order must be nonnegative\n")
+
+
+def test_series_order_bound_covers_motzkin_order(capsys, monkeypatch):
+    bound = cli.MAX_SERIES_ORDER
+    monkeypatch.setenv("MOTZKIN_ORDER", str(bound + 1))
+    _refuse_work(monkeypatch)
+    rc, out, err = run(capsys, "series", "--variant", "skew")
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: MOTZKIN_ORDER {bound + 1} exceeds the bound {bound}; "
+        "pass --unbounded to override\n"
+    )
+    # an explicit --order within the bound wins over the variable
+    monkeypatch.undo()
+    monkeypatch.setenv("MOTZKIN_ORDER", str(bound + 1))
+    rc, out, _ = run(capsys, "series", "--order", "1", "--u", "1")
+    assert (rc, out) == (0, "z^0: 1\nz^1: 2\n")
+
+
+def test_series_unbounded_lifts_the_order_bound(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SERIES_ORDER", 3)
+    rc, _, err = run(capsys, "series", "--order", "4", "--u", "1")
+    assert rc == 2 and "pass --unbounded" in err
+    expected = closed_form(Variant.PLAIN, 4, None, None, 1).total.to_text() + "\n"
+    rc, out, _ = run(capsys, "series", "--order", "4", "--u", "1", "--unbounded")
+    assert (rc, out) == (0, expected)
+    monkeypatch.setenv("MOTZKIN_ORDER", "4")
+    rc, out, _ = run(capsys, "series", "--u", "1", "--unbounded")
+    assert (rc, out) == (0, expected)
+    # the bound itself is served
+    rc, out, _ = run(capsys, "series", "--order", "3", "--u", "1")
+    assert rc == 0 and out.splitlines()[-1].startswith("z^3: ")
+
+
 def test_series_symbolic_text(capsys):
     rc, out, _ = run(capsys, "series", "--variant", "plain", "--order", "2")
     assert rc == 0

@@ -672,6 +672,65 @@ def test_total_recurrence_stays_on_integers(monkeypatch):
     closed_form.cache_clear()
 
 
+@pytest.mark.parametrize("width", [2, 3, 8, 61, 64, 65, 130])
+def test_u_packing_round_trips_signed_slots(width):
+    # slots at both edges of the signed range, negative ones next to
+    # positive ones, gaps, and an (s, t) key with one slot only
+    edge = (1 << width - 1) - 1
+    rng = random.Random(width)
+    terms = {}
+    for es, et in ((0, 0), (1, 0), (2, 3), (0, 5)):
+        for eu in range(12):
+            value = rng.choice([edge, -edge, 1, -1, 0, rng.randint(-edge, edge)])
+            if value:
+                terms[series_module._pack(eu, es, et)] = value
+    terms[series_module._pack(0, 7, 7)] = -edge
+    terms[series_module._pack(40, 1, 1)] = edge
+    packed = series_module._pack_u(terms, width)
+    assert len(packed) == 6  # one int per (s, t) monomial
+    assert series_module._unpack_u(packed, width) == terms
+    # the low slot goes by a right shift, as the total divides by u
+    shifted = {key: value << width for key, value in packed.items()}
+    assert all(not value & (1 << width) - 1 for value in shifted.values())
+    assert series_module._unpack_u(shifted, width) == {k + 1: v for k, v in terms.items()}
+
+
+def test_u_packing_without_u_is_the_identity():
+    terms = {series_module._pack(0, 1, 2): -5, series_module._pack(0, 0, 0): 3}
+    assert series_module._pack_u(terms, 0) == terms
+    assert series_module._unpack_u(terms, 0) == terms
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, wide",
+    [(None, None, False), (-1, None, False), (THREE_HALVES, -1, True),
+     (Fraction(-3, 2), HALF, True)],
+)
+def test_packed_totals_are_the_division_reference_bytes(sigma, tau, wide):
+    # u symbolic at order 30: the slots hold up to (4*ceil(q*M))^30, which
+    # is past 64 bits at a value with denominator 2
+    width = series_module._slot_width(30, series_module._value_scale(sigma, tau), sigma, tau)
+    assert (width > 64) == wide
+    for variant in Variant:
+        got = closed_form(variant, 30, sigma, tau).total.to_text()
+        assert got == reference_kernel.total(variant, 30, sigma, tau).to_text()
+
+
+def test_slot_width_bounds_every_total_coefficient():
+    # every coefficient of T at z/q fits a signed slot with room to spare
+    for sigma, tau in ((None, None), (THREE_HALVES, -1), (Fraction(-3, 2), HALF)):
+        scale = series_module._value_scale(sigma, tau)
+        for variant in Variant:
+            total = closed_form(variant, 24, sigma, tau).total
+            biggest = max(
+                abs(int(value * scale**n))
+                for n, c in enumerate(total.coefficients())
+                for _, value in c.terms()
+            )
+            width = series_module._slot_width(24, scale, sigma, tau)
+            assert biggest.bit_length() < width - 1
+
+
 def _put_delta_one_term_off(monkeypatch, coeff, k):
     """Add coeff*t to Delta's z^k coefficient wherever boundary_values
     builds Delta; the returned list gets the order of each build."""
