@@ -3,9 +3,8 @@
 Polynomials are dicts mapping packed exponent keys to int or Fraction
 coefficients; adding two keys multiplies the monomials.  They serve
 ``Series`` products and divisions and W's recurrence.  The total's
-recurrence, once the hot loop of a symbolic series, runs the same loop,
-``_accumulate``, on coefficients packed in u: one int per (s, t) monomial
-and so a few products per monomial of T instead of one per term.
+recurrence, once the hot loop of a symbolic series, runs the same loop on
+coefficients packed in u, one int per (s, t) monomial.
 
 ``perfbench/tracer.py`` wraps ``poly_acc`` and ``poly_mul`` to count
 products, so ``poly_mul`` shares the loop through ``_accumulate`` rather

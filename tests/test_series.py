@@ -695,12 +695,6 @@ def test_u_packing_round_trips_signed_slots(width):
     assert series_module._unpack_u(shifted, width) == {k + 1: v for k, v in terms.items()}
 
 
-def test_u_packing_without_u_is_the_identity():
-    terms = {series_module._pack(0, 1, 2): -5, series_module._pack(0, 0, 0): 3}
-    assert series_module._pack_u(terms, 0) == terms
-    assert series_module._unpack_u(terms, 0) == terms
-
-
 @pytest.mark.parametrize(
     "sigma, tau, wide",
     [(None, None, False), (-1, None, False), (THREE_HALVES, -1, True),
