@@ -9,7 +9,7 @@ coefficients packed in u, one int per (s, t) monomial.
 ``perfbench/tracer.py`` wraps ``poly_acc`` and ``poly_mul`` to count
 products, so ``poly_mul`` shares the loop through ``_accumulate`` rather
 than calling ``poly_acc``: each product is then counted once.  The
-total's packed products call ``_accumulate`` directly and are not counted.
+total's packed products go through ``poly_acc`` too, and are counted.
 """
 
 from __future__ import annotations

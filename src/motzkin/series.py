@@ -22,9 +22,9 @@ remainder free of it (C0 or a constant is wrong) raises.  The same formulas
 serve both variants.  The layers of walks grouped by the layer their last
 step put them in (F after an up step, G after a horizontal step or at the
 start, H after a down step, K after a left-down step) follow from the total
-and are built only when read; they divide by the kernel factor z*r1 - z*u,
-where z*r1 = N/C0 + z^2*D is one series division by C0 (the power-series
-root r2 = (P - z*r1)/z and W = 2*z*r1 - P follow by subtraction).  The
+and are built only when read; only F and K divide, by the kernel factor
+z*r1 - z*u, where z*r1 = P - z^2*rho, rho = r2/z = D + (s + z*D)*C0, is one
+series product with C0 (r2 and W = 2*z*r1 - P follow by subtraction).  The
 boundary values are the same closed form at u = 0.
 Numeric u, sigma and tau go in before the work: they are substituted into
 the constants the pipeline starts from, so it runs on polynomials in fewer
@@ -316,15 +316,15 @@ class Poly:
         return f"Poly({self})"
 
 
-def _nonzero(coeffs: Iterable[Poly], start: int = 0) -> list[tuple[int, dict]]:
-    """(z power, term dict) of the nonzero coefficients from z^start on."""
-    return [(k, c._terms) for k, c in enumerate(coeffs) if k >= start and c._terms]
+def _nonzero(coeffs: Iterable[dict], start: int = 0) -> list[tuple[int, dict]]:
+    """(z power, term dict) of the nonzero term dicts from z^start on."""
+    return [(k, terms) for k, terms in enumerate(coeffs) if k >= start and terms]
 
 
 def _add_products(
     acc: dict[int, Rat],
     pairs: list[tuple[int, dict]],
-    seq: Sequence[Poly],
+    seq: Sequence[dict],
     n: int,
     negate: bool = False,
 ) -> None:
@@ -333,18 +333,14 @@ def _add_products(
     for j, terms in pairs:
         if j > n:
             break
-        other = seq[n - j]._terms
+        other = seq[n - j]
         if other:
             _speedups.poly_acc(acc, terms, other, negate)
 
 
-def _divide(terms: dict[int, Rat], d: Rat, exact: bool, name: str) -> dict[int, Rat]:
-    """terms / d with the zeros dropped.  If exact, d must divide every
-    value in integers: a remainder raises ArithmeticError, which names the
-    series whose coefficient was being divided."""
-    if not exact:
-        d = Fraction(d)
-        return _speedups.clean_terms({key: value / d for key, value in terms.items()})
+def _divide(terms: dict[int, int], d: int, name: str) -> dict[int, int]:
+    """terms / d with the zeros dropped, in integers: a remainder raises
+    ArithmeticError, which names the series whose coefficient was divided."""
     out = {}
     for key, value in terms.items():
         quot, rem = divmod(value, d)
@@ -355,22 +351,22 @@ def _divide(terms: dict[int, Rat], d: Rat, exact: bool, name: str) -> dict[int, 
     return out
 
 
-def _sqrt_terms(radicand: list[dict[int, Rat]], exact: bool) -> Iterator[dict]:
+def _sqrt_terms(radicand: list[dict[int, int]]) -> Iterator[dict]:
     """The coefficients of the root W of a radicand with constant term 1, in
     order, as far as they are read: J. C. P. Miller's recurrence for a power
     of a series (Knuth, TAOCP vol. 2, 4.7),
         2m*W[m] = sum_{k>=1} (3k - 2m)*radicand[k]*W[m-k],
-    divided as by _divide.  Only the last len(radicand) - 1 coefficients are
-    kept, so a polynomial radicand runs in a fixed window."""
+    divided by _divide, so W must be integral.  Only the last len(radicand) - 1
+    coefficients are kept, so a polynomial radicand runs in a fixed window."""
     window = [{0: 1}]  # W[m-k] is window[-k]
     for m in itertools.count(1):
         yield window[-1]
-        acc: dict[int, Rat] = {}
+        acc: dict[int, int] = {}
         for k, terms in enumerate(radicand[1 : m + 1], 1):
             if 3 * k != 2 * m and terms and window[-k]:
                 scaled = {key: (3 * k - 2 * m) * value for key, value in terms.items()}
                 _speedups.poly_acc(acc, scaled, window[-k])
-        window = (window + [_divide(acc, 2 * m, exact, "W")])[1 - len(radicand) :]
+        window = (window + [_divide(acc, 2 * m, "W")])[1 - len(radicand) :]
 
 
 class Series:
@@ -466,11 +462,12 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
-        pairs = _nonzero(self._coeffs)
+        pairs = _nonzero(c._terms for c in self._coeffs)
+        seq = [c._terms for c in other._coeffs]
         out = []
         for n in range(order + 1):
             acc: dict[int, Rat] = {}
-            _add_products(acc, pairs, other._coeffs, n)
+            _add_products(acc, pairs, seq, n)
             out.append(Poly._raw(_speedups.clean_terms(acc)))
         return Series(tuple(out), order)
 
@@ -489,22 +486,30 @@ class Series:
             )
         inv = 1 / const
         order = min(self.order, other.order)
-        pairs = _nonzero(other._coeffs, 1)
-        quot: list[Poly] = []
+        pairs = _nonzero((c._terms for c in other._coeffs), 1)
+        quot: list[dict[int, Rat]] = []
         for n in range(order + 1):
             acc = dict(self._coeffs[n]._terms)
             _add_products(acc, pairs, quot, n, negate=True)
-            quot.append(Poly._raw(_speedups.clean_terms(acc)).scale(inv))
-        return Series(tuple(quot), order)
+            quot.append(Poly._raw(_speedups.clean_terms(acc)).scale(inv)._terms)
+        return Series(tuple(map(Poly._raw, quot)), order)
 
     def sqrt(self) -> "Series":
-        """Square root of a series with constant term exactly 1."""
+        """Square root of a series with constant term exactly 1.  At z/4q, q
+        the lcm of the denominators, the series is 1 + 4Y with Y integral and
+        its root has integer (Catalan) coefficients, so W's recurrence runs there."""
         if self._coeffs[0] != Poly.one():
             raise ValueError(
                 f"series sqrt needs constant term 1, got {self._coeffs[0]}"
             )
-        root = _sqrt_terms([c._terms for c in self._coeffs], exact=False)
-        return Series(tuple(Poly._raw(next(root)) for _ in self._coeffs), self.order)
+        terms = [c._terms for c in self._coeffs]
+        scale = 4 * math.lcm(*(v.denominator for t in terms for v in t.values()))
+        radicand = [
+            {key: v.numerator * (scale**n // v.denominator) for key, v in t.items()}
+            for n, t in enumerate(terms)
+        ]
+        root = _sqrt_terms(radicand)
+        return _unscaled([next(root) for _ in radicand], scale)
 
     def scale(self, value: Rat) -> "Series":
         return Series(tuple(p.scale(value) for p in self._coeffs), self.order)
@@ -646,17 +651,17 @@ def specialize(
 # F's numerator, once divided, is z*u plus a u-free part that F(0) = 0
 # forces to vanish, so F = z*u/(z*r1 - z*u).  Likewise
 # K = z^2*(C0 - 1)/(z*r1 - z*u), G = 1 + z*T and H is the rest of T.  Only
-# these layers read z*r1, and they take it from C0 by one division,
-# z*r1 = N/C0 + z^2*D; C0 has constant term 1, so symbolically the quotient
-# stays in integers.  The boundary values are the same closed form at u = 0:
-# total C0, divisor z*r1, F(0) = 0, and the same formulas give G(0), H(0)
-# and K(0).  Every divisor of the layers has constant term 1, and
-# the total's recurrence divides only by u, whatever s and t are.  So numeric
-# u, sigma and tau are substituted into the constants the pipeline builds
-# before it runs: substituting is a ring homomorphism, so each step, and the
-# result, is the full symbolic one specialized (Banderier & Flajolet, "Basic
-# analytic combinatorics of directed lattice paths", 2002).  A numeric u != 0
-# is divided out as a number.
+# these layers read z*r1, one product with C0 as rho = D + (s + z*D)*C0:
+#     z*r1 = P - z^2*rho = P - z^2*D - (s*z^2 + z^3*D)*C0,
+# so F and K are the only series divisions.  The boundary values are the same
+# closed form at u = 0: total C0, divisor z*r1, F(0) = 0, and the same
+# formulas give G(0), H(0) and K(0).  Every divisor of the layers has constant
+# term 1, and the total's recurrence divides only by u, whatever s and t
+# are.  So numeric u, sigma and tau are substituted into the constants the
+# pipeline builds before it runs: substituting is a ring homomorphism, so each
+# step, and the result, is the full symbolic one specialized (Banderier &
+# Flajolet, "Basic analytic combinatorics of directed lattice paths", 2002).  A
+# numeric u != 0 is divided out as a number.
 #
 # Values with denominators keep C0 and T in integers by one more
 # homomorphism, z -> z/q with q the lcm of the denominators: the z^k
@@ -808,10 +813,10 @@ class ClosedForm:
     last step H; h: last step D; k: last step L (skew only, None
     otherwise).  c0 is the u=0 total; boundary_values also keeps it as the
     total's recurrence reads it, c0_at_scale = (q, the term dicts of its z^n
-    coefficients times q^n, all ints).  The layers' divisor kernel,
-    z*r1 - z*u with z*r1 = N/c0 + z^2*D, is built the first time a layer
-    needs it.  At u = 0 (see boundary_values) total is c0, kernel is z*r1
-    and the layers are the boundary values G(0), H(0) and K(0).
+    coefficients times q^n, all ints).  The divisor of f and k, kernel =
+    z*r1 - z*u with z*r1 = P - z^2*D - (s*z^2 + z^3*D)*c0, is built the
+    first time one of them is read.  At u = 0 (see boundary_values) total is
+    c0, kernel is z*r1 and the layers are the boundary values G(0), H(0), K(0).
     """
 
     variant: Variant
@@ -827,11 +832,12 @@ class ClosedForm:
 
     @functools.cached_property
     def kernel(self) -> Series:
-        num, z2d = (
+        p, _, _, z2d = _constant_terms(self.variant)
+        rest, times_c0 = (
             _terms_at(self.order, t, self.sigma, self.tau)
-            for t in _constant_terms(self.variant)[2:4]
+            for t in (p + _shifted(z2d, -1), [(2, 0, 1, 0, -1)] + _shifted(z2d, -1, 1))
         )
-        return num / self.c0 + z2d - self.zu
+        return rest + times_c0 * self.c0 - self.zu
 
     @functools.cached_property
     def f(self) -> Series:
@@ -872,7 +878,7 @@ def boundary_values(
     delta = _terms_at(6, _times(p, p) + _shifted(q, -4, 2), sigma, tau, None, scale)
     p = [c._terms for c in _terms_at(3, p, sigma, tau, None, scale).coefficients()]
     p.append({})
-    roots = _sqrt_terms([c._terms for c in delta.coefficients()], True)
+    roots = _sqrt_terms([c._terms for c in delta.coefficients()])
     # at z/q, with G0[n] = q*C0[n-1] and G0[0] = 1, C0's equation reads
     #     2q^2*s*(C0[n] - G0[n]) = P[n+2] - W[n+2] - 2a*q^2*G0[n];
     # a numeric sigma's denominator multiplies the right side
@@ -889,11 +895,11 @@ def boundary_values(
             acc[key] = acc.get(key, 0) + mult * value
         if sigma == 0:  # rho[n] = a*C0[n-1], and rho[n] is q^(-n-2)*acc/2
             if m > 2:
-                c0.append(_divide(acc, 2 * a * sq * scale, True, "C0"))
+                c0.append(_divide(acc, 2 * a * sq * scale, "C0"))
             continue
         for key, value in g0.items():
             acc[key] = acc.get(key, 0) - g0_mult * value
-        acc = _divide(acc, divisor, True, "C0")
+        acc = _divide(acc, divisor, "C0")
         if sigma is None:  # divide by s: shift its exponent
             if any(not key >> _SHIFT & _MASK for key in acc):
                 raise ArithmeticError(f"s does not divide z^{m - 2} of C0's equation")
@@ -910,7 +916,7 @@ def boundary_values(
 def kernel_zr1(
     variant: Variant, order: int, sigma: Optional[Rat] = None, tau: Optional[Rat] = None
 ) -> Series:
-    """z times the companion root: N/C0 + z^2*D = (P + W)/2, constant term 1."""
+    """z times the companion root: P - z^2*rho = (P + W)/2, constant term 1."""
     return boundary_values(variant, order, sigma, tau).kernel
 
 
@@ -999,8 +1005,7 @@ def _total(
 
     def packed(terms: _Terms, start: int = 0) -> list[tuple[int, dict[int, int]]]:
         coeffs = _terms_at(order, terms, sigma, tau, u, scale).coefficients()
-        pairs = ((j, _pack_u(c._terms, width)) for j, c in enumerate(coeffs))
-        return [(j, c) for j, c in pairs if j >= start and c]
+        return _nonzero((_pack_u(c._terms, width) for c in coeffs), start)
 
     factor = packed(_shifted(p, r, 0, 1) + _shifted(q, -r, 1) + [(1, 2, 0, 0, -r)], 1)
     times_c0 = packed(_shifted(z2d, r, 0, 1) + _shifted(q, -r, 1))
@@ -1017,15 +1022,12 @@ def _total(
     total: list[dict[int, int]] = []
     for n in range(order + 1):
         acc = dict(u_num.get(n, ()))
-        for pairs, seq, negate in ((times_c0, c0, False), (factor, total, True)):
-            for j, terms in pairs:
-                if j > n:
-                    break
-                _speedups._accumulate(acc, terms, seq[n - j], negate)
+        _add_products(acc, times_c0, c0, n)
+        _add_products(acc, factor, total, n, negate=True)
         acc = {key: value for key, value in acc.items() if value}
         if u is not None:
             if u.numerator != 1:
-                acc = _divide(acc, u.numerator, True, "T")
+                acc = _divide(acc, u.numerator, "T")
         elif any(value & low for value in acc.values()):
             raise ArithmeticError(
                 f"u does not divide z^{n} of the total's equation: "
@@ -1057,7 +1059,5 @@ def closed_form(
     if u == 0:
         return bnd
     zu = _terms_at(order, [(1, 1, 0, 0, 1)], sigma, tau, u)
-    # a closed form built by hand has no c0_at_scale; its c0 must be integral
-    c0_at_scale = bnd.c0_at_scale or (1, [c._terms for c in bnd.c0.coefficients()])
-    total = _total(variant, order, sigma, tau, u, c0_at_scale)
+    total = _total(variant, order, sigma, tau, u, bnd.c0_at_scale)
     return ClosedForm(variant, order, total, bnd.c0, zu, sigma, tau)

@@ -12,8 +12,8 @@ C0 solves C0 * (z*r1 - z^2*D) = N, and the grand total is
 T = (N + z^2*D*C0) / (z*r1 - z*u), both by series division with z*r1 from
 rho.  ``motzkin.series`` gets C0 from the six-term recurrence for W, the
 square root of the discriminant, T from a three-term recurrence and z*r1
-the other way round, as N/C0 + z^2*D; the tests hold all of them to this
-reference byte for byte.  Numeric sigma,
+the other way round, as P - z^2*D - (s*z^2 + z^3*D)*C0; the tests hold all
+of them to this reference byte for byte.  Numeric sigma,
 tau and u go into the constants before the work, as in the library.
 
 Run as a script, it checks the full grid of values at higher orders:

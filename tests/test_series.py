@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -491,7 +492,7 @@ def test_closed_form_structure():
 
 
 def test_kernel_r2_ties_to_the_boundary_values():
-    # kernel_r2 is (P - z*r1)/z with z*r1 = N/C0 + z^2*D, a division by C0;
+    # kernel_r2 is (P - z*r1)/z with z*r1 = P - z^2*D - (s*z^2 + z^3*D)*C0;
     # the same root is linear in the boundary values,
     # r2 = z*(s*C0 - (s - a)*G0), a = 1 plain, 2 skew, so the two routes
     # from C0 must agree
@@ -517,7 +518,7 @@ HALF, THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("order", [0, 1, 2, 30])
 def test_kernel_pieces_are_the_rho_reference_bytes(variant, order):
-    # the library takes z*r1 from C0 by division, the reference from rho's
+    # the library takes z*r1 from C0 by one product, the reference from rho's
     # own recurrence; at order 0, r2 reads z*r1 at order 1
     values = (None, 0, -1, HALF)
     assert reference_kernel.kernel_mismatches(variant, order, values) == []
@@ -592,14 +593,17 @@ def test_closed_form_equals_dp_at_rational_values(variant):
 
 
 def _record_integer_route(monkeypatch):
-    """Record each _divide call as (series name, exact, quotient) and the
-    coefficients each final division by q^n starts from."""
+    """Record each _divide call as (series name, quotient) and the
+    coefficients each final division by q^n starts from.  _divide has no
+    rational branch to take: it divides in integers or raises."""
+    params = inspect.signature(series_module._divide).parameters
+    assert list(params) == ["terms", "d", "name"]
     quotients, scaled = [], []
     divide, unscaled = series_module._divide, series_module._unscaled
 
-    def record_divide(terms, d, exact, name):
-        out = divide(terms, d, exact, name)
-        quotients.append((name, exact, out))
+    def record_divide(terms, d, name):
+        out = divide(terms, d, name)
+        quotients.append((name, out))
         return out
 
     def record_unscaled(coeffs, scale):
@@ -641,8 +645,8 @@ def test_c0_recurrence_stays_on_integers(monkeypatch):
             scaled.clear()
             c0 = boundary_values(variant, 16, sigma, tau).total
             assert len(quotients) >= 17
-            for name, exact, terms in quotients:
-                assert exact and name in ("W", "C0"), (variant, sigma, tau)
+            for name, terms in quotients:
+                assert name in ("W", "C0"), (variant, sigma, tau)
                 assert _all_ints([terms]), (variant, sigma, tau, name)
             assert len(scaled) == 1 and _all_ints(scaled[0]), (variant, sigma, tau)
             if (sigma, tau) in rational:
@@ -662,13 +666,86 @@ def test_total_recurrence_stays_on_integers(monkeypatch):
             quotients.clear()
             scaled.clear()
             closed_form(variant, 16, sigma, tau, u)
-            for name, exact, terms in quotients:
-                assert exact, (variant, sigma, tau, u, name)
+            for name, terms in quotients:
                 assert _all_ints([terms]), (variant, sigma, tau, u, name)
-            t_divisions = sum(name == "T" for name, _, _ in quotients)
+            t_divisions = sum(name == "T" for name, _ in quotients)
             assert t_divisions == (0 if u.numerator == 1 else 17)
             assert len(scaled) == 2  # C0, then T
             assert all(_all_ints(coeffs) for coeffs in scaled), (sigma, tau, u)
+    closed_form.cache_clear()
+
+
+def test_series_sqrt_stays_on_integers(monkeypatch):
+    # sparse rational radicands like criterion 8's, and one of order 0: W's
+    # recurrence runs at z/4q, where every quotient is an int, and the one
+    # division of each coefficient by (4q)^n starts from ints
+    quotients, scaled = _record_integer_route(monkeypatch)
+    rng = random.Random(16180339)
+
+    def random_radicand(order):
+        coeffs = [Poly.one()]
+        for _ in range(order):
+            entries = {}
+            for _ in range(rng.randrange(1, 3)):
+                key = (rng.randrange(2), rng.randrange(2), rng.randrange(2))
+                entries[key] = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+            coeffs.append(poly(entries) if rng.random() < 0.6 else Poly.zero())
+        return Series(coeffs, order)
+
+    radicands = [random_radicand(12) for _ in range(20)] + [Series.one(0)]
+    for radicand in radicands:
+        quotients.clear()
+        scaled.clear()
+        root = radicand.sqrt()
+        assert len(quotients) == radicand.order
+        for name, terms in quotients:
+            assert name == "W" and _all_ints([terms])
+        assert len(scaled) == 1 and _all_ints(scaled[0])
+        assert root * root == radicand
+
+
+def test_total_products_pass_through_poly_acc(monkeypatch):
+    # the total's packed multiply-adds go through _speedups.poly_acc, which
+    # perfbench's tracer counts: at plain order 28 they touch 11 545 terms
+    # beyond the boundary values' own
+    touched = []
+    poly_acc = series_module._speedups.poly_acc
+
+    def count(out, a, b, negate=False):
+        touched.append(len(a) * len(b))
+        poly_acc(out, a, b, negate)
+
+    monkeypatch.setattr(series_module._speedups, "poly_acc", count)
+    boundary_values(Variant.PLAIN, 28)
+    c0_share = sum(touched)
+    touched.clear()
+    closed_form.cache_clear()
+    closed_form(Variant.PLAIN, 28)
+    closed_form.cache_clear()
+    assert c0_share > 0
+    assert sum(touched) - c0_share == 11_545
+
+
+def test_kernel_takes_no_series_division(monkeypatch):
+    # z*r1 = P - z^2*D - (s*z^2 + z^3*D)*C0 is one product with C0; only
+    # the f and k layers divide, by the kernel
+    divisors = []
+    div = Series.div
+
+    def record(self, other):
+        divisors.append(other)
+        return div(self, other)
+
+    monkeypatch.setattr(Series, "div", record)
+    for variant in Variant:
+        for values in ((), (HALF, None), (None, -1), (THREE_HALVES, HALF)):
+            kernel = boundary_values(variant, 12, *values).kernel
+            assert kernel.coefficient(0) == Poly.one()
+    assert divisors == []
+    closed_form.cache_clear()
+    closed = closed_form(Variant.SKEW, 12)
+    assert closed.h.order == closed.k.order == 12
+    assert len(divisors) == 2 and all(d is closed.kernel for d in divisors)
     closed_form.cache_clear()
 
 
@@ -802,7 +879,11 @@ def test_symbolic_u_rechecks_c0_at_every_order(monkeypatch):
     coeffs = list(bnd.c0.coefficients())
     coeffs[7] = coeffs[7] + poly({(0, 1, 2): 1})  # one term off
     wrong = Series(coeffs, 12)
-    broken = series_module.ClosedForm(Variant.SKEW, 12, wrong, wrong, bnd.zu)
+    # the same wrong C0 as the total's recurrence reads it, in integers
+    c0_at_scale = (1, [c._terms for c in wrong.coefficients()])
+    broken = series_module.ClosedForm(
+        Variant.SKEW, 12, wrong, wrong, bnd.zu, c0_at_scale=c0_at_scale
+    )
     monkeypatch.setattr(series_module, "boundary_values", lambda *args: broken)
     closed_form.cache_clear()
     with pytest.raises(ArithmeticError, match="z\\^8"):
