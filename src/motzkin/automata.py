@@ -10,29 +10,52 @@ exponent counts UD factors.
 
 The dynamic programming here runs directly on the transition tables, so it
 is an implementation independent from both the brute-force oracle and the
-closed-form series pipeline.  A numeric sigma, tau or u goes into the sweep
-instead of its exponent: the counts are multiplied by the value, the
-#DU/#UD (or level) index collapses, and the result is the symbolic series
-with that value substituted, computed on far fewer entries.  The sweep runs
-on ints: its keys pack (state, #UD, #DU) into one int, and numeric sigma
-and tau are scaled by their common denominator, which ``dp_series`` divides
-out once per coefficient.  ``dp_series`` results are cached like those of
+closed-form series pipeline.  It reads each move off the transition list
+once, as (layer change, level change, weight); the moves are the same at
+every level, except that down and left steps need level >= 1.  So the sweep
+keys its frontier by (layer, #UD, #DU) and holds the counts of all end
+levels in one int, level j's count in the signed slot j at 2^width
+(Kronecker substitution, as the closed form packs u): an up step shifts the
+int left by width, a down or left step drops slot 0 (the walks at level 0,
+which cannot take it) and shifts right, and a horizontal step leaves it as
+it is.  The width is series._slot_width's, proven to hold every count, and
+the slots are decoded by the series' own signed-slot reader
+(series._unpack_slots).  Each reader
+adds up the layers it does not report and unpacks once per (#UD, #DU).
+
+A numeric sigma, tau or u goes into the work instead of its exponent:
+sigma and tau multiply the counts, scaled by their common denominator
+(which ``dp_series`` divides out once per coefficient), and their #DU/#UD
+index collapses; u weights slot j by p^j q^(n-j) as it is unpacked.  The
+result is the symbolic series with the values substituted, computed on far
+fewer entries.  ``dp_series`` results are cached like those of
 ``closed_form``.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .oracle import CountTable
-from ._speedups import clean_terms
-from .series import _EXP_LIMIT, _SHIFT, CACHE_SIZE, Poly, Rat, Series, require_exact
+from .series import (
+    _EXP_LIMIT,
+    _SHIFT,
+    CACHE_SIZE,
+    Poly,
+    Rat,
+    Series,
+    _slot_width,
+    _unpack_slots,
+    _unscaled,
+    require_exact,
+)
 from .paths import PathWord, Variant
 
 
@@ -171,16 +194,37 @@ def run(spec: AutomatonSpec, word: PathWord | str) -> RunResult:
     return RunResult(True, state, sig, tau)
 
 
-# The sweep numbers a state (layer, level) as level*4 + the layer's index
-# in Layer, and packs (state, #UD, #DU) into one int key,
-# state << 2*bits | ud << bits | du, with bits wide enough for n_max.
+# The sweep keys its frontier by (layer, #UD, #DU), packed into one int as
+# layer << 2*bits | ud << bits | du, with the layer's index in Layer and
+# bits wide enough for n_max.  The value at a key holds the counts of every
+# end level in one int: level j's count is the signed slot j at 2^width
+# (see _sweep).
 _LAYERS = tuple(Layer)
 _LAYER_INDEX = {layer: i for i, layer in enumerate(_LAYERS)}
 
 
-def _state_index(state: State) -> int:
-    layer, level = state
-    return level * 4 + _LAYER_INDEX[layer]
+def _layer_moves(
+    spec: AutomatonSpec,
+) -> dict[tuple[Layer, str], tuple[Layer, int, str]]:
+    """{(source layer, step): (target layer, level change, weight)}, read off
+    the transition list.
+
+    A move must be the same at every level, change the level by at most
+    one, and exist at every level of the slice it does not leave (up moves
+    below the cap, down and left moves above 0): then one shift of the
+    packed counts makes it from every level at once.
+    """
+    moves: dict[tuple[Layer, str], tuple[Layer, int, str]] = {}
+    levels: collections.Counter = collections.Counter()
+    for t in spec.transitions:
+        move = (t.dst[0], t.dst[1] - t.src[1], t.weight)
+        if moves.setdefault((t.src[0], t.step), move) != move:
+            raise ValueError(f"{t} differs from its layer's move at another level")
+        levels[t.src[0], t.step] += 1
+    for (layer, step), (_, shift, _) in moves.items():
+        if abs(shift) > 1 or levels[layer, step] != spec.level_cap + 1 - abs(shift):
+            raise ValueError(f"the {step} move out of {layer} skips a level")
+    return moves
 
 
 def _sweep(
@@ -188,25 +232,29 @@ def _sweep(
     n_max: int,
     sigma: Optional[Rat] = None,
     tau: Optional[Rat] = None,
-) -> tuple[int, int, Iterator[dict[int, int]]]:
-    """Return (bits, scale, frontiers) for walks of length 0..n_max.
+) -> tuple[int, int, int, Iterator[dict[int, int]]]:
+    """Return (bits, width, scale, frontiers) for walks of length 0..n_max.
 
-    frontiers yields, for n = 0..n_max, a dict from packed (state, #UD, #DU)
-    keys (see above) to scale**n times the weighted number of walks of
-    length n that end there.  A weight left as None is counted by its index
-    (#UD for tau, #DU for sigma); a numeric weight multiplies the count
-    instead and leaves its index at 0.  scale is the common denominator of
-    the numeric weights, and every move multiplies by its weight times
-    scale, so every count is an int.  Zero counts, which only a negative
-    weight can leave by cancellation, are dropped.  Walks of length n never
-    exceed level n, so the level cap n_max makes every frontier exact.  The
-    moves come from the explicit transition list; the step deltas and
-    weights are never re-derived here.
+    frontiers yields, for n = 0..n_max, a dict from packed (layer, #UD, #DU)
+    keys (see above) to packed counts: slot j at 2^width holds scale**n
+    times the weighted number of walks of length n that end there at level
+    j.  A weight left as None is counted by its index (#UD for tau, #DU for
+    sigma); a numeric weight multiplies the count instead and leaves its
+    index at 0.  scale is the common denominator of the numeric weights, and
+    every move multiplies by its weight times scale, so every count is an
+    int, and the width of series._slot_width holds it in a signed slot.
+
+    The moves come from the explicit transition list (_layer_moves).  An up
+    move shifts the slots up by one; a down or left move drops the signed
+    slot 0, whose walks at level 0 cannot take it, and shifts the rest down;
+    a horizontal move keeps them.  Entries whose slots all cancelled, which
+    only a negative weight can cause, are dropped.
     """
     require_exact(sigma)
     require_exact(tau)
     scale = math.lcm(*(v.denominator for v in (sigma, tau) if v is not None))
     bits = n_max.bit_length()
+    width = _slot_width(variant, n_max, scale, sigma, tau)
     # (index delta, multiplier) of a transition, by its weight
     effect = {
         WEIGHT_ONE: (0, scale),
@@ -216,31 +264,67 @@ def _sweep(
         else (0, sigma.numerator * (scale // sigma.denominator)),
     }
     cancels = any(mult < 0 for _, mult in effect.values())
-    spec = build_automaton(variant, n_max)
-    moves: list[list[tuple[int, int]]] = [[] for _ in range(4 * (n_max + 1))]
-    for t in spec.transitions:
-        d_index, mult = effect[t.weight]
+    # the moves are the same at every level, so levels 0..2 show each of
+    # them; walks of length n never pass level n, so the sweep needs no cap
+    spec = build_automaton(variant, 2)
+    # per source layer: (key delta, level change + 1, multiplier)
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in _LAYERS]
+    for (src, _), (dst, shift, weight) in _layer_moves(spec).items():
+        d_index, mult = effect[weight]
         if mult:
-            src = _state_index(t.src)
-            delta = ((_state_index(t.dst) - src) << (2 * bits)) + d_index
-            moves[src].append((delta, mult))
-    start = _state_index(spec.start) << (2 * bits)
+            d_layer = _LAYER_INDEX[dst] - _LAYER_INDEX[src]
+            delta = (d_layer << 2 * bits) + d_index
+            moves[_LAYER_INDEX[src]].append((delta, shift + 1, mult))
+    start_layer, start_level = spec.start
+    half = 1 << width - 1
 
     def frontiers() -> Iterator[dict[int, int]]:
-        shift = 2 * bits
-        frontier = {start: 1}
+        layer_shift = 2 * bits
+        frontier = {_LAYER_INDEX[start_layer] << layer_shift: 1 << width * start_level}
         yield frontier
         for _ in range(n_max):
             nxt: dict[int, int] = {}
             get = nxt.get
-            for key, c in frontier.items():
-                for delta, mult in moves[key >> shift]:
-                    key_out = key + delta
-                    nxt[key_out] = get(key_out, 0) + c * mult
+            for key, counts in frontier.items():
+                # by level change: down (slot 0 dropped), none, up
+                shifted = ((counts + half) >> width, counts, counts << width)
+                for delta, level_move, mult in moves[key >> layer_shift]:
+                    out = shifted[level_move]
+                    if out:
+                        key_out = key + delta
+                        if mult != 1:
+                            out *= mult
+                        nxt[key_out] = get(key_out, 0) + out
             frontier = {key: c for key, c in nxt.items() if c} if cancels else nxt
             yield frontier
 
-    return bits, scale, frontiers()
+    return bits, width, scale, frontiers()
+
+
+def _layers_summed(frontier: dict[int, int], bits: int) -> dict[int, int]:
+    """The frontier with its layers added up: {ud << bits | du: counts}."""
+    low = (1 << 2 * bits) - 1
+    out: dict[int, int] = {}
+    get = out.get
+    for key, counts in frontier.items():
+        key &= low
+        out[key] = get(key, 0) + counts
+    return out
+
+
+def _series_terms(entries: dict[int, int], bits: int, width: int) -> dict[int, int]:
+    """{packed u^level*s^#DU*t^#UD: count} over the nonzero slots of frontier
+    entries (any layer bits above the (#UD, #DU) key are ignored)."""
+    mask = (1 << bits) - 1
+    # (#UD, #DU) -> s^#DU*t^#UD; u's exponent is the low field of a key, so
+    # slot j lands at u^j
+    packed = (
+        ((key & mask) << _SHIFT | (key >> bits & mask) << 2 * _SHIFT, counts)
+        for key, counts in entries.items()
+    )
+    terms: dict[int, int] = {}
+    _unpack_slots(terms, packed, width)
+    return terms
 
 
 def dp_count(n_max: int, variant: Variant, *, last_only: bool = False) -> CountTable:
@@ -248,15 +332,18 @@ def dp_count(n_max: int, variant: Variant, *, last_only: bool = False) -> CountT
     with last_only, only those of length n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    bits, _, frontiers = _sweep(variant, n_max)
+    bits, width, _, frontiers = _sweep(variant, n_max)
     mask = (1 << bits) - 1
     entries: dict[tuple[int, int, int, int], int] = {}
     for n, frontier in enumerate(frontiers):
         if last_only and n < n_max:
             continue
-        for key, c in frontier.items():
-            entry = (n, key >> (2 * bits + 2), (key >> bits) & mask, key & mask)
-            entries[entry] = entries.get(entry, 0) + c
+        for key, counts in _layers_summed(frontier, bits).items():
+            ud, du = key >> bits, key & mask
+            levels: dict[int, int] = {}
+            _unpack_slots(levels, ((0, counts),), width)
+            for level, c in levels.items():
+                entries[n, level, ud, du] = c
     return CountTable(variant, n_max, entries)
 
 
@@ -274,33 +361,35 @@ def dp_series(
     over all valid length-n walks ending at level j with du DU factors and
     ud UD factors.  Numeric u, sigma or tau (int or Fraction) are
     substituted during the sweep: the result equals the symbolic series
-    specialized at them.  With u = p/q the level-j count enters as
-    p^j q^(n-j), so coefficient n is all ints until its one division by
-    (scale*q)^n.  Results are cached like ``closed_form``.
+    specialized at them.  With u = p/q the level-j slot is weighted by
+    p^j q^(n-j) as it is unpacked, so coefficient n is all ints until its
+    one division by (scale*q)^n.  Results are cached like ``closed_form``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order >= _EXP_LIMIT:  # no exponent exceeds the order
         raise ValueError(f"exponent out of range: order {order}")
     require_exact(u)
-    bits, scale, frontiers = _sweep(variant, order, sigma, tau)
-    mask, level_shift = (1 << bits) - 1, 2 * bits + 2
-    # the level stays in the key as u's exponent, or goes into the weight
-    p, q, keep = (1, 1, -1) if u is None else (u.numerator, u.denominator, 0)
+    bits, width, scale, frontiers = _sweep(variant, order, sigma, tau)
+    mask = (1 << bits) - 1
+    # the level stays as u's exponent, or goes into the weight
+    p, q = (1, 1) if u is None else (u.numerator, u.denominator)
     coeffs = []
     for n, frontier in enumerate(frontiers):
+        summed = _layers_summed(frontier, bits)
+        if u is None:
+            coeffs.append(_series_terms(summed, bits, width))
+            continue
         weights = [p**j * q ** (n - j) for j in range(n + 1)]
-        acc: dict[int, int] = {}
-        for key, c in frontier.items():
-            level = key >> level_shift  # (state, #UD, #DU) -> u^level*s^#DU*t^#UD
-            packed = (key & mask) << _SHIFT | (key >> bits & mask) << 2 * _SHIFT
-            packed |= level & keep
-            acc[packed] = acc.get(packed, 0) + c * weights[level]
-        denom = (scale * q) ** n
-        if denom != 1:
-            acc = {key: Fraction(c, denom) for key, c in acc.items()}
-        coeffs.append(Poly._raw(clean_terms(acc)))
-    return Series(coeffs, order)
+        acc = {}
+        for key, counts in summed.items():
+            levels = [0] * (n + 1)
+            _unpack_slots(levels, ((0, counts),), width)
+            c = sum(map(operator.mul, levels, weights))
+            if c:  # (#UD, #DU) -> s^#DU*t^#UD
+                acc[(key & mask) << _SHIFT | (key >> bits) << 2 * _SHIFT] = c
+        coeffs.append(acc)
+    return _unscaled(coeffs, scale * q)
 
 
 def layer_series(
@@ -309,16 +398,12 @@ def layer_series(
     """Per-layer generating functions (walks grouped by their final layer)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    bits, _, frontiers = _sweep(variant, order)
-    mask = (1 << bits) - 1
-    buckets = [[[] for _ in range(order + 1)] for _ in _LAYERS]
-    for n, frontier in enumerate(frontiers):
-        for key, c in frontier.items():
-            state = key >> (2 * bits)
-            buckets[state & 3][n].append(
-                ((state >> 2, key & mask, (key >> bits) & mask), c)
-            )
-    return {
-        layer: Series([Poly(terms) for terms in buckets[i]], order)
-        for i, layer in enumerate(_LAYERS)
-    }
+    bits, width, _, frontiers = _sweep(variant, order)
+    coeffs: list[list[Poly]] = [[] for _ in _LAYERS]
+    for frontier in frontiers:
+        by_layer: list[dict[int, int]] = [{} for _ in _LAYERS]
+        for key, counts in frontier.items():
+            by_layer[key >> 2 * bits][key] = counts
+        for i, entries in enumerate(by_layer):
+            coeffs[i].append(Poly._raw(_series_terms(entries, bits, width)))
+    return {layer: Series(coeffs[i], order) for i, layer in enumerate(_LAYERS)}

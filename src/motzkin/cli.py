@@ -32,12 +32,12 @@ USAGE = 2
 CHECK_MAX_N = {Variant.PLAIN: 14, Variant.SKEW: 12}
 
 # `count` runs the DP, whose cost grows polynomially in n (skew n=60 takes
-# a few seconds), so it gets its own bound instead of the enumeration cap
+# about 0.1 s), so it gets its own bound instead of the enumeration cap
 MAX_COUNT_LEN = 60
 
 # `series` works and prints in time and memory that grow about as the fourth
-# power of the order; at order 60 the symbolic skew DP, the slowest engine,
-# takes about 2.3 s and the text runs to 6.6 MB
+# power of the order; at order 60 the symbolic closed form, the slower
+# engine, takes about 0.3 s and the text runs to 6.6 MB
 MAX_SERIES_ORDER = 60
 
 # `bargraph --columns` prints a path whose length grows with the heights,

@@ -338,6 +338,28 @@ def _add_products(
             _speedups.poly_acc(acc, terms, other, negate)
 
 
+def _cleared(coeffs: Sequence[Poly]) -> tuple[list[dict[int, int]], int]:
+    """(the term dicts of the coefficients times d, all ints; d), d the lcm
+    of the denominators of their values."""
+    terms = [c._terms for c in coeffs]
+    d = math.lcm(*(v.denominator for t in terms for v in t.values()))
+    cleared = [
+        {key: v.numerator * (d // v.denominator) for key, v in t.items()} for t in terms
+    ]
+    return cleared, d
+
+
+def _divided(terms: dict[int, int], d: int) -> dict[int, Rat]:
+    """terms / d with the zeros dropped: Fractions, demoted to int where d
+    divides."""
+    out: dict[int, Rat] = {}
+    for key, value in terms.items():
+        if value:
+            quot, rem = divmod(value, d)
+            out[key] = Fraction(value, d) if rem else quot
+    return out
+
+
 def _divide(terms: dict[int, int], d: int, name: str) -> dict[int, int]:
     """terms / d with the zeros dropped, in integers: a remainder raises
     ArithmeticError, which names the series whose coefficient was divided."""
@@ -459,16 +481,19 @@ class Series:
         return Series(tuple(-p for p in self._coeffs), self.order)
 
     def __mul__(self, other: "Series") -> "Series":
+        """The product, in integers: each operand times the common
+        denominator of its coefficients, one division per term at the end."""
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
-        pairs = _nonzero(c._terms for c in self._coeffs)
-        seq = [c._terms for c in other._coeffs]
+        a, da = _cleared(self._coeffs[: order + 1])
+        b, db = _cleared(other._coeffs[: order + 1])
+        pairs = _nonzero(a)
         out = []
         for n in range(order + 1):
-            acc: dict[int, Rat] = {}
-            _add_products(acc, pairs, seq, n)
-            out.append(Poly._raw(_speedups.clean_terms(acc)))
+            acc: dict[int, int] = {}
+            _add_products(acc, pairs, b, n)
+            out.append(Poly._raw(_divided(acc, da * db)))
         return Series(tuple(out), order)
 
     def __truediv__(self, other: "Series") -> "Series":
@@ -684,9 +709,10 @@ def specialize(
 # by u is a test that the low slot is zero and a right shift.  The slots
 # decode only if every coefficient of T at z/q lies strictly inside
 # +-2^(width - 1), so width is one more than the bit length of
-# (4*ceil(q*M))^order, M = max(1, |sigma|, |tau|) over the numeric values:
-# T[n] at z/q sums q^n*sigma^#DU*tau^#UD over at most 4^n words, and as
-# #UD + #DU <= n each term is at most (q*M)^n in size.  A u-free remainder
+# (letters*ceil(q*M))^order, M = max(1, |sigma|, |tau|) over the numeric
+# values, letters = 3 (plain) or 4 (skew): T[n] at z/q sums
+# q^n*sigma^#DU*tau^#UD over at most letters^n words, and as #UD + #DU <= n
+# each term is at most (q*M)^n in size (_slot_width).  A u-free remainder
 # smaller than 2^width shows in the low slot, so C0 is still re-checked at
 # every order.  A numeric u needs no slots: the same loop runs on plain ints
 # (width 0).  Only u is packed, and only here: a box over z, s and t as
@@ -739,19 +765,12 @@ def _terms_at(
 
 def _unscaled(coeffs: Sequence[dict[int, int]], scale: int) -> Series:
     """The series whose z^n coefficient is coeffs[n] / scale^n: a series
-    computed at z/scale taken back to z, one division per coefficient into
-    Fractions demoted to int where they divide, as dp_series does."""
+    computed at z/scale taken back to z, one division per term (_divided)."""
     if scale == 1:
         return Series(tuple(map(Poly._raw, coeffs)))
-    out = []
-    for n, terms in enumerate(coeffs):
-        d = scale**n
-        acc: dict[int, Rat] = {}
-        for key, value in terms.items():
-            quot, rem = divmod(value, d)
-            acc[key] = Fraction(value, d) if rem else quot
-        out.append(Poly._raw(acc))
-    return Series(tuple(out))
+    return Series(
+        tuple(Poly._raw(_divided(terms, scale**n)) for n, terms in enumerate(coeffs))
+    )
 
 
 def _value_scale(*values: Optional[Rat]) -> int:
@@ -765,6 +784,8 @@ def _value_scale(*values: Optional[Rat]) -> int:
 # a, the constant term of Q/z: the one number the two variants' constants
 # differ by
 _A = {Variant.PLAIN: 1, Variant.SKEW: 2}
+# the letters a walk of the variant steps by: U, D, H and, skew only, L
+_LETTERS = {Variant.PLAIN: 3, Variant.SKEW: 4}
 
 
 _Terms = list[tuple[int, int, int, int, Rat]]
@@ -937,11 +958,18 @@ def kernel_w(
     return zr1.scale(2) - kernel_sum(variant, order, sigma, tau)
 
 
-def _slot_width(order: int, scale: int, *values: Optional[Rat]) -> int:
-    """Bits per u slot of the total's packed coefficients up to z^order: one
-    more than the bit length of (4*ceil(q*M))^order, M = max(1, |values|)."""
+def _slot_width(
+    variant: Variant, order: int, scale: int, *values: Optional[Rat]
+) -> int:
+    """Bits per slot of a packed count of the variant's walks up to length
+    order at z/scale: one more than the bit length of
+    (letters*ceil(q*M))^order, M = max(1, |values|).  Such a count sums
+    q^n*sigma^#DU*tau^#UD over at most letters^n words of length n, each
+    term at most (q*M)^n in size as #UD + #DU <= n, so it lies strictly
+    inside +-2^(width - 1).  The total's u slots and the DP's level slots
+    both take their width from here."""
     m = max([1] + [abs(value) for value in values if value is not None])
-    return ((4 * math.ceil(scale * m)) ** order).bit_length() + 1
+    return ((_LETTERS[variant] * math.ceil(scale * m)) ** order).bit_length() + 1
 
 
 def _pack_u(terms: dict[int, int], width: int) -> dict[int, int]:
@@ -955,14 +983,18 @@ def _pack_u(terms: dict[int, int], width: int) -> dict[int, int]:
     return {key: value for key, value in out.items() if value}
 
 
-def _unpack_u(packed: dict[int, int], width: int) -> dict[int, int]:
-    """The term dict of a coefficient packed by _pack_u.  Slots are signed:
-    each must lie strictly inside +-2^(width - 1)."""
-    if not width:
-        return packed
-    out = {}
+def _unpack_slots(
+    out: Union[dict[int, int], list[int]],
+    packed: Iterable[tuple[int, int]],
+    width: int,
+) -> None:
+    """Put the nonzero slots of each (key, int packed at 2^width) pair into
+    out (a dict, or a list of zeros long enough), slot j at key + j.  Slots
+    are signed: each is read in [-2^(width - 1), 2^(width - 1)), which gives
+    the packed counts when every count lies strictly inside
+    +-2^(width - 1)."""
     mask, half, full = (1 << width) - 1, 1 << width - 1, 1 << width
-    for key, value in packed.items():
+    for key, value in packed:
         while value:
             slot = value & mask
             value >>= width
@@ -972,6 +1004,15 @@ def _unpack_u(packed: dict[int, int], width: int) -> dict[int, int]:
             if slot:
                 out[key] = slot
             key += 1
+
+
+def _unpack_u(packed: dict[int, int], width: int) -> dict[int, int]:
+    """The term dict of a coefficient packed by _pack_u: u's exponent is the
+    low field of a key, so slot e lands at the (s, t) key plus e."""
+    if not width:
+        return packed
+    out: dict[int, int] = {}
+    _unpack_slots(out, packed.items(), width)
     return out
 
 
@@ -1000,7 +1041,7 @@ def _total(
     """
     scale = _value_scale(sigma, tau, u)
     r = 1 if u is None else u.denominator
-    width = 0 if u is not None else _slot_width(order, scale, sigma, tau)
+    width = 0 if u is not None else _slot_width(variant, order, scale, sigma, tau)
     p, q, num, z2d = _constant_terms(variant)[:4]
 
     def packed(terms: _Terms, start: int = 0) -> list[tuple[int, dict[int, int]]]:

@@ -209,10 +209,10 @@ def test_criterion_1_oracle_vs_dp():
         assert len(oracle.entries) > 0
 
 
-@criterion(2, "DP equals closed form symbolically (plain and skew z^40)")
+@criterion(2, "DP equals closed form symbolically (plain and skew z^60)")
 def test_criterion_2_dp_vs_closed_form():
     for variant in Variant:
-        assert dp_series(40, variant) == closed_form(variant, 40).total
+        assert dp_series(60, variant) == closed_form(variant, 60).total
 
 
 @criterion(3, "plain trivariate display and its u=0 / u=1 displays to z^7")

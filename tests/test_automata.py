@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from motzkin import automata
 from motzkin.automata import (
     WEIGHT_ONE,
     WEIGHT_SIGMA,
     WEIGHT_TAU,
+    AutomatonSpec,
     Layer,
+    Transition,
     _sweep,
     build_automaton,
     dp_count,
@@ -19,7 +22,7 @@ from motzkin.automata import (
 )
 from motzkin.oracle import count_table, enumerate_paths
 from motzkin.paths import PathClass, PathWord, Variant, classify, pattern_stats
-from motzkin.series import Poly, closed_form
+from motzkin.series import Poly, _unpack_slots, closed_form
 
 ALPHABET = {Variant.PLAIN: "UDH", Variant.SKEW: "UDHL"}
 
@@ -313,10 +316,62 @@ def test_cancelling_weights_leave_no_zero_counts():
     # sigma = -1 makes counts cancel inside the sweep; the frontiers drop
     # them, which the series would hide, as Poly drops zero terms itself
     for variant in Variant:
-        _, _, frontiers = _sweep(variant, 16, -1, 1)
+        _, _, _, frontiers = _sweep(variant, 16, -1, 1)
         assert all(all(frontier.values()) for frontier in frontiers)
         series = dp_series(16, variant, None, -1, 1)
         assert series == dp_series(16, variant).specialize(sigma=-1, tau=1)
+
+
+@pytest.mark.parametrize("u", [None, -1])
+def test_negative_weights_through_the_dropped_slot(u):
+    # negative counts sit in signed slots; a down or left move drops slot 0,
+    # which must not take a borrow from slot 1 with it
+    sigma, tau = -1, Fraction(-2, 3)
+    for variant in Variant:
+        expected = closed_form(variant, 20).total.specialize(u=u, sigma=sigma, tau=tau)
+        assert dp_series(20, variant, u, sigma, tau) == expected
+
+
+def test_every_frontier_slot_fits_its_width(monkeypatch):
+    # the same sweep on slots 64 bits wider holds the true counts: each must
+    # lie strictly inside the signed slot the width rule gives, and decode
+    # from the packed sweep as it is
+    sigma, tau = Fraction(3, 2), Fraction(-2, 3)
+    for variant in Variant:
+        _, width, _, frontiers = _sweep(variant, 24, sigma, tau)
+        monkeypatch.setattr(automata, "_slot_width", lambda *args: width + 64)
+        _, wide, _, wide_frontiers = _sweep(variant, 24, sigma, tau)
+        monkeypatch.undo()
+        half = 1 << width - 1
+        for frontier, wide_frontier in zip(frontiers, wide_frontiers, strict=True):
+            assert frontier.keys() == wide_frontier.keys()
+            for key, counts in wide_frontier.items():
+                true, packed = {}, {}
+                _unpack_slots(true, ((0, counts),), wide)
+                _unpack_slots(packed, ((0, frontier[key]),), width)
+                assert all(-half < slot < half for slot in true.values())
+                assert packed == true
+
+
+def test_layer_moves_come_from_the_transition_list():
+    spec = build_automaton(Variant.SKEW, 3)
+    moves = automata._layer_moves(spec)
+    assert moves[Layer.AFTER_U, "D"] == (Layer.AFTER_D, -1, WEIGHT_TAU)
+    assert moves[Layer.AFTER_L, "L"] == (Layer.AFTER_L, -1, WEIGHT_ONE)
+    assert len(moves) == len({(t.src[0], t.step) for t in spec.transitions})
+    # a move missing at one level, or weighted differently there, cannot be
+    # made on all levels by one shift
+    gap = tuple(
+        t for t in spec.transitions if (t.src, t.step) != ((Layer.AFTER_D, 2), "H")
+    )
+    odd = tuple(
+        Transition(t.src, t.step, t.dst, WEIGHT_SIGMA)
+        if (t.src, t.step) == ((Layer.AFTER_H, 1), "H") else t
+        for t in spec.transitions
+    )
+    for transitions in (gap, odd):
+        with pytest.raises(ValueError):
+            automata._layer_moves(AutomatonSpec(Variant.SKEW, 3, transitions))
 
 
 def test_dp_refuses_inexact_values():

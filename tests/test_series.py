@@ -778,11 +778,12 @@ def test_u_packing_round_trips_signed_slots(width):
      (Fraction(-3, 2), HALF, True)],
 )
 def test_packed_totals_are_the_division_reference_bytes(sigma, tau, wide):
-    # u symbolic at order 30: the slots hold up to (4*ceil(q*M))^30, which
+    # u symbolic at order 30: the slots hold up to (letters*ceil(q*M))^30, which
     # is past 64 bits at a value with denominator 2
-    width = series_module._slot_width(30, series_module._value_scale(sigma, tau), sigma, tau)
-    assert (width > 64) == wide
+    scale = series_module._value_scale(sigma, tau)
     for variant in Variant:
+        width = series_module._slot_width(variant, 30, scale, sigma, tau)
+        assert (width > 64) == wide
         got = closed_form(variant, 30, sigma, tau).total.to_text()
         assert got == reference_kernel.total(variant, 30, sigma, tau).to_text()
 
@@ -798,7 +799,7 @@ def test_slot_width_bounds_every_total_coefficient():
                 for n, c in enumerate(total.coefficients())
                 for _, value in c.terms()
             )
-            width = series_module._slot_width(24, scale, sigma, tau)
+            width = series_module._slot_width(variant, 24, scale, sigma, tau)
             assert biggest.bit_length() < width - 1
 
 
