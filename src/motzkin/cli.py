@@ -40,6 +40,14 @@ MAX_COUNT_LEN = 60
 # engine, takes about 0.3 s and the text runs to 6.6 MB
 MAX_SERIES_ORDER = 60
 
+# `series` refuses a value whose numerator or denominator has more bits.  Up
+# to it, at an order n <= MAX_SERIES_ORDER, each printed coefficient stays
+# under Python's 4 300-digit limit on int-to-text conversion: the z^n one
+# sums u^j*sigma^a*tau^b (j, a, b <= n) over at most 4^n words, so over the
+# common denominator (q_u*q_sigma*q_tau)^n, of at most 192*n bits, its
+# numerator has at most 194*n bits (3 504 digits at n = 60)
+MAX_VALUE_BITS = 64
+
 # `bargraph --columns` prints a path whose length grows with the heights,
 # not with the argument's size, so that length is bounded before the walk
 MAX_BARGRAPH_PATH_LEN = 10**6
@@ -270,14 +278,29 @@ def run_checks(variant: Variant, max_n: int) -> list[CheckResult]:
 # subcommands
 
 
-def _parse_value(text: str, flag: str) -> Optional[Rat]:
-    """A rational value, as an int when it is integral, or None for 'sym'."""
+def _parse_value(text: str, flag: str, unbounded: bool) -> Optional[Rat]:
+    """A rational value, as an int when it is integral, or None for 'sym'.
+
+    Unless unbounded, a numerator or denominator of 2^MAX_VALUE_BITS or more
+    is refused, before any work and without building it: m*10^x with m != 0
+    written in at most len(text) digits has one of at least 10^20 once |x|
+    exceeds len(text) + 20, so only the mantissa of such a text is read.
+    """
     if text == "sym":
         return None
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        value = Fraction(text)
+        far = "/" not in text and abs(int(exponent or 0)) > len(text) + 20
+        far = far and not unbounded
+        value = Fraction(mantissa if far else text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag} expects a rational number or 'sym', got {text!r}")
+    bits = max(abs(value.numerator), value.denominator).bit_length()
+    if far and value or bits > MAX_VALUE_BITS and not unbounded:
+        raise ValueError(
+            f"{flag} {text} exceeds the bound 2^{MAX_VALUE_BITS} on a numerator "
+            "or denominator; pass --unbounded to override"
+        )
     return value.numerator if value.denominator == 1 else value
 
 
@@ -320,9 +343,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         order, name = default_order(), "MOTZKIN_ORDER"
     _check_length_bound(order, MAX_SERIES_ORDER, args.unbounded, name)
-    u = _parse_value(args.u, "--u")
-    sigma = _parse_value(args.sigma, "--sigma")
-    tau = _parse_value(args.tau, "--tau")
+    u = _parse_value(args.u, "--u", args.unbounded)
+    sigma = _parse_value(args.sigma, "--sigma", args.unbounded)
+    tau = _parse_value(args.tau, "--tau", args.unbounded)
 
     def compute(engine: str):
         # numeric values go into both engines; specialize() with no value

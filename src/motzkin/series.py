@@ -7,6 +7,12 @@ power of z, each carrying a truncation order; arithmetic results carry the
 minimum order of the operands.  All arithmetic is exact (ints and Fractions,
 never floats); a value that is neither an int nor a Fraction is refused
 with TypeError wherever one is given as a coefficient or substituted.
+Products, quotients and roots (``__mul__``, ``div``, ``sqrt``) share one
+way into the integers and one way out: the operands are cleared by one
+common denominator d (_cleared) and, where a recurrence divides, taken to
+z/c (_scaled); the work runs on ints, and _unscaled divides each z^n
+coefficient by d*c^n once, at the end.  The division runs at c = the
+divisor's cleared constant term, the root at c = 4q.
 
 The second half of the module is the generating-function pipeline.  Its
 constants depend on the variant only through a = 1 (plain) or 2 (skew): with
@@ -32,10 +38,11 @@ variables and gives the full result specialized (see the kernel pipeline
 comment for the formulas and why they hold).  C0 and the total run in
 integers at any values: with q the lcm of the values' denominators they are
 worked out at z/q, where every constant has integer coefficients, and their
-z^n coefficients are divided by q^n once, at the end.  The total is dense in
-u, so its recurrence holds each coefficient as one int per monomial in s and
-t, the u-polynomial evaluated at u = 2^width (Kronecker substitution), with
-a width proven to hold every coefficient; each is unpacked once, at the end.
+z^n coefficients are divided by q^n once, at the end, by the same _unscaled
+(as are the DP's).  The total is dense in u, so its recurrence holds each
+coefficient as one int per monomial in s and t, the u-polynomial evaluated
+at u = 2^width (Kronecker substitution), with a width proven to hold every
+coefficient; each is unpacked once, at the end.
 """
 
 from __future__ import annotations
@@ -338,26 +345,25 @@ def _add_products(
             _speedups.poly_acc(acc, terms, other, negate)
 
 
-def _cleared(coeffs: Sequence[Poly]) -> tuple[list[dict[int, int]], int]:
-    """(the term dicts of the coefficients times d, all ints; d), d the lcm
-    of the denominators of their values."""
-    terms = [c._terms for c in coeffs]
-    d = math.lcm(*(v.denominator for t in terms for v in t.values()))
-    cleared = [
-        {key: v.numerator * (d // v.denominator) for key, v in t.items()} for t in terms
+def _scaled(
+    coeffs: Iterable[dict[int, Rat]], scale: int, d: int = 1
+) -> list[dict[int, int]]:
+    """The z^n term dict times d*scale^n, all ints: the way into the
+    integers, for a series taken to z/scale and cleared by d.  Every
+    denominator of the z^n coefficient must divide d*scale^n."""
+    return [
+        {key: v.numerator * (mult // v.denominator) for key, v in terms.items()}
+        for n, terms in enumerate(coeffs)
+        for mult in (d * scale**n,)
     ]
-    return cleared, d
 
 
-def _divided(terms: dict[int, int], d: int) -> dict[int, Rat]:
-    """terms / d with the zeros dropped: Fractions, demoted to int where d
-    divides."""
-    out: dict[int, Rat] = {}
-    for key, value in terms.items():
-        if value:
-            quot, rem = divmod(value, d)
-            out[key] = Fraction(value, d) if rem else quot
-    return out
+def _cleared(*operands: Sequence[Poly]) -> tuple[list[list[dict[int, int]]], int]:
+    """(each operand's term dicts times d, all ints; d), d the lcm of the
+    denominators of all their values."""
+    terms = [[c._terms for c in coeffs] for coeffs in operands]
+    d = math.lcm(*(v.denominator for op in terms for t in op for v in t.values()))
+    return [_scaled(op, 1, d) for op in terms], d
 
 
 def _divide(terms: dict[int, int], d: int, name: str) -> dict[int, int]:
@@ -481,26 +487,29 @@ class Series:
         return Series(tuple(-p for p in self._coeffs), self.order)
 
     def __mul__(self, other: "Series") -> "Series":
-        """The product, in integers: each operand times the common
-        denominator of its coefficients, one division per term at the end."""
+        """The product, in integers: both operands times their common
+        denominator d, one division by d^2 per term at the end."""
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
-        a, da = _cleared(self._coeffs[: order + 1])
-        b, db = _cleared(other._coeffs[: order + 1])
+        (a, b), d = _cleared(self._coeffs[: order + 1], other._coeffs[: order + 1])
         pairs = _nonzero(a)
         out = []
         for n in range(order + 1):
             acc: dict[int, int] = {}
             _add_products(acc, pairs, b, n)
-            out.append(Poly._raw(_divided(acc, da * db)))
-        return Series(tuple(out), order)
+            out.append({key: value for key, value in acc.items() if value})
+        return _unscaled(out, 1, d * d)
 
     def __truediv__(self, other: "Series") -> "Series":
         return self.div(other)
 
     def div(self, other: "Series") -> "Series":
-        """Divide by a series whose constant term is a nonzero rational."""
+        """Divide by a series whose constant term is a nonzero rational, in
+        integers: with both cleared by their common denominator and c the
+        divisor's constant term then, R = c*quotient at z/c is integral and
+        solves R[n] = A[n] - sum_{k>=1} (B[k]/c)*R[n-k] (A, B at z/c), so
+        each R[n] is divided by c^(n+1) once, at the end."""
         if not isinstance(other, Series):
             raise TypeError("can only divide by another Series")
         const = other._coeffs[0].as_constant()
@@ -509,15 +518,18 @@ class Series:
                 "series division needs a nonzero rational constant term, got "
                 f"{other._coeffs[0]}"
             )
-        inv = 1 / const
         order = min(self.order, other.order)
-        pairs = _nonzero((c._terms for c in other._coeffs), 1)
-        quot: list[dict[int, Rat]] = []
+        (a, b), _ = _cleared(self._coeffs[: order + 1], other._coeffs[: order + 1])
+        c = b[0][0]
+        # B[k]/c at z/c is b[k]*c^(k-1): pair j holds B[j+1]/c, so the sum
+        # over k runs as the products up to n - 1
+        pairs = _nonzero(_scaled(b[1:], c))
+        quot = _scaled(a, c)
         for n in range(order + 1):
-            acc = dict(self._coeffs[n]._terms)
-            _add_products(acc, pairs, quot, n, negate=True)
-            quot.append(Poly._raw(_speedups.clean_terms(acc)).scale(inv)._terms)
-        return Series(tuple(map(Poly._raw, quot)), order)
+            acc = quot[n]
+            _add_products(acc, pairs, quot, n - 1, negate=True)
+            quot[n] = {key: value for key, value in acc.items() if value}
+        return _unscaled(quot, c, c)
 
     def sqrt(self) -> "Series":
         """Square root of a series with constant term exactly 1.  At z/4q, q
@@ -529,10 +541,7 @@ class Series:
             )
         terms = [c._terms for c in self._coeffs]
         scale = 4 * math.lcm(*(v.denominator for t in terms for v in t.values()))
-        radicand = [
-            {key: v.numerator * (scale**n // v.denominator) for key, v in t.items()}
-            for n, t in enumerate(terms)
-        ]
+        radicand = _scaled(terms, scale)
         root = _sqrt_terms(radicand)
         return _unscaled([next(root) for _ in radicand], scale)
 
@@ -763,14 +772,22 @@ def _terms_at(
     return Series(tuple(Poly._raw(_speedups.clean_terms(b)) for b in buckets), order)
 
 
-def _unscaled(coeffs: Sequence[dict[int, int]], scale: int) -> Series:
-    """The series whose z^n coefficient is coeffs[n] / scale^n: a series
-    computed at z/scale taken back to z, one division per term (_divided)."""
-    if scale == 1:
+def _unscaled(coeffs: Sequence[dict[int, int]], scale: int, d: int = 1) -> Series:
+    """The series whose z^n coefficient is coeffs[n] / (d*scale^n): the way
+    out of the integers for a series worked out at z/scale and times d.  One
+    division per term, a Fraction demoted to int where it divides; the term
+    dicts must hold no zero values."""
+    if scale == d == 1:
         return Series(tuple(map(Poly._raw, coeffs)))
-    return Series(
-        tuple(Poly._raw(_divided(terms, scale**n)) for n, terms in enumerate(coeffs))
-    )
+    out = []
+    for n, terms in enumerate(coeffs):
+        den = d * scale**n
+        divided = {}
+        for key, value in terms.items():
+            quot, rem = divmod(value, den)
+            divided[key] = Fraction(value, den) if rem else quot
+        out.append(Poly._raw(divided))
+    return Series(tuple(out))
 
 
 def _value_scale(*values: Optional[Rat]) -> int:
@@ -1054,11 +1071,7 @@ def _total(
     c0_scale, c0 = c0_at_scale
     ratio = scale // c0_scale  # C0 at z/q' to z/q: times ratio^n
     if ratio != 1:
-        c0 = [
-            {key: value * power for key, value in terms.items()}
-            for n, terms in enumerate(c0)
-            for power in (ratio**n,)
-        ]
+        c0 = _scaled(c0, ratio)
     low = (1 << width) - 1
     total: list[dict[int, int]] = []
     for n in range(order + 1):

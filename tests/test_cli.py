@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +201,54 @@ def test_series_unbounded_lifts_the_order_bound(capsys, monkeypatch):
     # the bound itself is served
     rc, out, _ = run(capsys, "series", "--order", "3", "--u", "1")
     assert rc == 0 and out.splitlines()[-1].startswith("z^3: ")
+
+
+def test_series_value_bound(capsys, monkeypatch):
+    # a numerator or denominator of 2^64 or more is refused at the edge,
+    # before either engine runs; an exponent form is refused unbuilt
+    _refuse_work(monkeypatch)
+    for text in ("1e-300", "1e-99999999", str(2**64), f"1/{2**64}", "-1e20"):
+        for flag in ("--u", "--sigma", "--tau"):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "series", "--order", "24", f"{flag}={text}")
+            assert time.perf_counter() - start < 1, text
+            assert (rc, out) == (2, ""), (flag, text)
+            assert err == (
+                f"error: {flag} {text} exceeds the bound 2^64 on a numerator "
+                "or denominator; pass --unbounded to override\n"
+            )
+    rc, out, err = run(capsys, "series", "--u=1/2e99")
+    assert (rc, out) == (2, "") and "expects a rational number" in err
+
+
+def test_series_values_at_the_bound_print(capsys):
+    # (2^64 - 1)/3 and a zero mantissa at any exponent are served, and at
+    # order 60 with three 64-bit values every printed number stays under
+    # Python's 4 300-digit limit on int-to-text conversion
+    rc, out, _ = run(capsys, "series", "--order", "1", f"--u={2**64 - 1}/3")
+    assert (rc, out) == (0, f"z^0: 1\nz^1: {(2**64 - 1) // 3 + 1}\n")
+    rc, out, _ = run(capsys, "series", "--order", "1", "--u=0e-99999999")
+    assert (rc, out) == (0, "z^0: 1\nz^1: 1\n")
+    top = 2**64 - 1
+    values = (
+        f"--u={top}/{2**64 - 59}",
+        f"--sigma=-{top - 2}/{2**64 - 83}",
+        f"--tau={top - 4}/{2**64 - 95}",
+    )
+    for engine in ("closed", "dp"):
+        rc, out, _ = run(
+            capsys, "series", "--variant", "skew", "--order", "60",
+            "--engine", engine, *values,
+        )
+        assert rc == 0 and out.count("\n") == 61
+        longest = max(len(word) for word in out.replace("/", " ").split())
+        assert 2000 < longest < 4300
+
+
+def test_series_unbounded_lifts_the_value_bound(capsys):
+    rc, out, _ = run(capsys, "series", "--unbounded", "--order", "2", "--u=1e-300")
+    assert rc == 0
+    assert out.splitlines()[1] == f"z^1: {10**300 + 1}/{10**300}"
 
 
 def test_series_symbolic_text(capsys):

@@ -213,14 +213,38 @@ def test_div_requires_unit_constant():
         Series.one(4).div(1)  # type: ignore[arg-type]
 
 
+def long_division(a, b):
+    """a / b by the schoolbook recurrence on Fractions, with public Poly
+    arithmetic only: q[n] = (a[n] - sum_{k>=1} b[k]*q[n-k]) / b[0]."""
+    order = min(a.order, b.order)
+    inv = 1 / b.coefficient(0).as_constant()
+    quot = []
+    for n in range(order + 1):
+        acc = a.coefficient(n)
+        for k in range(1, n + 1):
+            acc = acc - b.coefficient(k) * quot[n - k]
+        quot.append(acc.scale(inv))
+    return Series(quot, order)
+
+
 def test_div_random_round_trip():
     rng = random.Random(5150)
-    for _ in range(30):
+    for i in range(30):
         a = random_series(rng, 7)
         b = random_series(rng, 7, unit=True)
-        # every quotient coefficient is scaled by 1/constant, a no-op for 1
-        for c in (1, -1, Fraction(-3, 2)):
-            assert (a * b.scale(c)) / b.scale(c) == a
+        # the divisor's constant term sets the scale z/c the division runs
+        # at; the Fraction reference is slow, so it checks the first pairs
+        for c in (1, -1, Fraction(-3, 2), Fraction(-9, 4), Fraction(7, 5)):
+            divisor = b.scale(c)
+            if i < 8:
+                assert a / divisor == long_division(a, divisor)
+            assert (a * divisor) / divisor == a
+    # one order-16 case in u, s and t, sparse enough for the reference
+    a, b = (
+        Series([random_poly(rng, 1, 2) for _ in range(17)], 16) for _ in range(2)
+    )
+    b = (Series.one(16) + b.shift_up(1).prefix(16)).scale(Fraction(-9, 4))
+    assert a / b == long_division(a, b)
 
 
 def test_sqrt_frozen_prefix():
@@ -606,9 +630,9 @@ def _record_integer_route(monkeypatch):
         quotients.append((name, out))
         return out
 
-    def record_unscaled(coeffs, scale):
+    def record_unscaled(coeffs, scale, d=1):
         scaled.append(list(coeffs))
-        return unscaled(coeffs, scale)
+        return unscaled(coeffs, scale, d)
 
     monkeypatch.setattr(series_module, "_divide", record_divide)
     monkeypatch.setattr(series_module, "_unscaled", record_unscaled)
@@ -702,6 +726,36 @@ def test_series_sqrt_stays_on_integers(monkeypatch):
             assert name == "W" and _all_ints([terms])
         assert len(scaled) == 1 and _all_ints(scaled[0])
         assert root * root == radicand
+
+
+def test_series_div_stays_on_integers(monkeypatch):
+    # rational operands with negative and fractional constant terms: the
+    # quotient recurrence runs at z/c on ints, c the divisor's cleared
+    # constant term, and leaves through one _unscaled call on ints
+    quotients, scaled = _record_integer_route(monkeypatch)
+    rng = random.Random(27182818)
+    for const in (1, -1, Fraction(-3, 2), Fraction(-9, 4), Fraction(7, 5)):
+        a = random_series(rng, 8)
+        b = random_series(rng, 8, unit=True).scale(const)
+        quotients.clear()
+        scaled.clear()
+        quotient = a / b
+        assert quotients == []
+        assert len(scaled) == 1 and _all_ints(scaled[0]), const
+        assert quotient == long_division(a, b), const
+
+
+def test_series_mul_stays_on_integers(monkeypatch):
+    # both operands cleared by one denominator, the products on ints and
+    # one _unscaled call on ints at the end
+    quotients, scaled = _record_integer_route(monkeypatch)
+    rng = random.Random(14142135)
+    for _ in range(5):
+        a, b = random_series(rng, 8), random_series(rng, 8)
+        scaled.clear()
+        a * b
+        assert quotients == []
+        assert len(scaled) == 1 and _all_ints(scaled[0])
 
 
 def test_total_products_pass_through_poly_acc(monkeypatch):
