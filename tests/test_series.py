@@ -236,7 +236,7 @@ def test_div_random_round_trip():
         # at; the Fraction reference is slow, so it checks the first pairs
         for c in (1, -1, Fraction(-3, 2), Fraction(-9, 4), Fraction(7, 5)):
             divisor = b.scale(c)
-            if i < 8:
+            if i < 4:
                 assert a / divisor == long_division(a, divisor)
             assert (a * divisor) / divisor == a
     # one order-16 case in u, s and t, sparse enough for the reference
