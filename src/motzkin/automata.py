@@ -8,11 +8,13 @@ multiplicative weight of 1, sigma, or tau; a walk's weight is the product
 along its transitions, so the sigma exponent counts DU factors and the tau
 exponent counts UD factors.
 
-The dynamic programming here runs directly on the transition tables, so it
+The dynamic programming here runs directly on the automaton's moves, so it
 is an implementation independent from both the brute-force oracle and the
-closed-form series pipeline.  It reads each move off the transition list
-once, as (layer change, level change, weight); the moves are the same at
-every level, except that down and left steps need level >= 1.  So the sweep
+closed-form series pipeline.  Both it and ``build_automaton`` read one
+move table, _MOVES: (layer change, level change, weight) by source layer
+and step.  A move is the same at every level, except that down and left
+steps need level >= 1; ``build_automaton`` writes it out at every level of
+its slice, and the sweep makes it at all levels at once.  So the sweep
 keys its frontier by (layer, #UD, #DU) and holds the counts of all end
 levels in one int, level j's count in the signed slot j at 2^width
 (Kronecker substitution, as the closed form packs u): an up step shifts the
@@ -34,7 +36,6 @@ fewer entries.  ``dp_series`` results are cached like those of
 
 from __future__ import annotations
 
-import collections
 import enum
 import functools
 import json
@@ -75,6 +76,39 @@ WEIGHT_ONE = "1"
 WEIGHT_SIGMA = "sigma"
 WEIGHT_TAU = "tau"
 
+# Every walk starts here: at level 0, with no step to remember.
+_START: State = (Layer.AFTER_H, 0)
+
+# The automaton: {(source layer, step): (target layer, level change,
+# weight)}.  A move is the same at every level it stays within.
+_SKEW_MOVES: dict[tuple[Layer, str], tuple[Layer, int, str]] = {
+    (Layer.AFTER_U, "U"): (Layer.AFTER_U, 1, WEIGHT_ONE),
+    (Layer.AFTER_H, "U"): (Layer.AFTER_U, 1, WEIGHT_ONE),
+    (Layer.AFTER_D, "U"): (Layer.AFTER_U, 1, WEIGHT_SIGMA),
+    # no U out of AFTER_L: LU is forbidden
+    (Layer.AFTER_U, "D"): (Layer.AFTER_D, -1, WEIGHT_TAU),
+    (Layer.AFTER_H, "D"): (Layer.AFTER_D, -1, WEIGHT_ONE),
+    (Layer.AFTER_D, "D"): (Layer.AFTER_D, -1, WEIGHT_ONE),
+    (Layer.AFTER_L, "D"): (Layer.AFTER_D, -1, WEIGHT_ONE),
+    (Layer.AFTER_U, "H"): (Layer.AFTER_H, 0, WEIGHT_ONE),
+    (Layer.AFTER_H, "H"): (Layer.AFTER_H, 0, WEIGHT_ONE),
+    (Layer.AFTER_D, "H"): (Layer.AFTER_H, 0, WEIGHT_ONE),
+    (Layer.AFTER_L, "H"): (Layer.AFTER_H, 0, WEIGHT_ONE),
+    # no L out of AFTER_U: UL is forbidden
+    (Layer.AFTER_H, "L"): (Layer.AFTER_L, -1, WEIGHT_ONE),
+    (Layer.AFTER_D, "L"): (Layer.AFTER_L, -1, WEIGHT_ONE),
+    (Layer.AFTER_L, "L"): (Layer.AFTER_L, -1, WEIGHT_ONE),
+}
+# plain walks take no L step, so they never reach AFTER_L
+_MOVES = {
+    Variant.SKEW: _SKEW_MOVES,
+    Variant.PLAIN: {
+        (src, step): move
+        for (src, step), move in _SKEW_MOVES.items()
+        if step != "L" and src is not Layer.AFTER_L
+    },
+}
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -91,7 +125,7 @@ class AutomatonSpec:
     variant: Variant
     level_cap: int
     transitions: tuple[Transition, ...]
-    start: State = (Layer.AFTER_H, 0)
+    start: State = _START
     _lookup: dict[tuple[State, str], Transition] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -129,39 +163,21 @@ class AutomatonSpec:
 
 
 def build_automaton(variant: Variant, level_cap: int) -> AutomatonSpec:
-    """Build the transition table for levels 0..level_cap.
+    """Build the transition table for levels 0..level_cap: every move of
+    _MOVES at every level it keeps within the slice.
 
     Up steps from level_cap are omitted, so the slice exactly recognizes the
     walks that never climb above level_cap.
     """
     if level_cap < 0:
         raise ValueError("level_cap must be nonnegative")
-    f, g, h, k = Layer.AFTER_U, Layer.AFTER_H, Layer.AFTER_D, Layer.AFTER_L
-    ts: list[Transition] = []
-    skew = variant is Variant.SKEW
-    for level in range(level_cap + 1):
-        if level < level_cap:
-            ts.append(Transition((f, level), "U", (f, level + 1)))
-            ts.append(Transition((g, level), "U", (f, level + 1)))
-            ts.append(Transition((h, level), "U", (f, level + 1), WEIGHT_SIGMA))
-            # no U out of AFTER_L: LU is forbidden
-        if level > 0:
-            ts.append(Transition((f, level), "D", (h, level - 1), WEIGHT_TAU))
-            ts.append(Transition((g, level), "D", (h, level - 1)))
-            ts.append(Transition((h, level), "D", (h, level - 1)))
-            if skew:
-                ts.append(Transition((k, level), "D", (h, level - 1)))
-        ts.append(Transition((f, level), "H", (g, level)))
-        ts.append(Transition((g, level), "H", (g, level)))
-        ts.append(Transition((h, level), "H", (g, level)))
-        if skew:
-            ts.append(Transition((k, level), "H", (g, level)))
-            if level > 0:
-                # no L out of AFTER_U: UL is forbidden
-                ts.append(Transition((g, level), "L", (k, level - 1)))
-                ts.append(Transition((h, level), "L", (k, level - 1)))
-                ts.append(Transition((k, level), "L", (k, level - 1)))
-    return AutomatonSpec(variant, level_cap, tuple(ts))
+    transitions = tuple(
+        Transition((src, level), step, (dst, level + shift), weight)
+        for level in range(level_cap + 1)
+        for (src, step), (dst, shift, weight) in _MOVES[variant].items()
+        if 0 <= level + shift <= level_cap
+    )
+    return AutomatonSpec(variant, level_cap, transitions)
 
 
 @dataclass(frozen=True)
@@ -203,30 +219,6 @@ _LAYERS = tuple(Layer)
 _LAYER_INDEX = {layer: i for i, layer in enumerate(_LAYERS)}
 
 
-def _layer_moves(
-    spec: AutomatonSpec,
-) -> dict[tuple[Layer, str], tuple[Layer, int, str]]:
-    """{(source layer, step): (target layer, level change, weight)}, read off
-    the transition list.
-
-    A move must be the same at every level, change the level by at most
-    one, and exist at every level of the slice it does not leave (up moves
-    below the cap, down and left moves above 0): then one shift of the
-    packed counts makes it from every level at once.
-    """
-    moves: dict[tuple[Layer, str], tuple[Layer, int, str]] = {}
-    levels: collections.Counter = collections.Counter()
-    for t in spec.transitions:
-        move = (t.dst[0], t.dst[1] - t.src[1], t.weight)
-        if moves.setdefault((t.src[0], t.step), move) != move:
-            raise ValueError(f"{t} differs from its layer's move at another level")
-        levels[t.src[0], t.step] += 1
-    for (layer, step), (_, shift, _) in moves.items():
-        if abs(shift) > 1 or levels[layer, step] != spec.level_cap + 1 - abs(shift):
-            raise ValueError(f"the {step} move out of {layer} skips a level")
-    return moves
-
-
 def _sweep(
     variant: Variant,
     n_max: int,
@@ -244,10 +236,11 @@ def _sweep(
     every move multiplies by its weight times scale, so every count is an
     int, and the width of series._slot_width holds it in a signed slot.
 
-    The moves come from the explicit transition list (_layer_moves).  An up
-    move shifts the slots up by one; a down or left move drops the signed
-    slot 0, whose walks at level 0 cannot take it, and shifts the rest down;
-    a horizontal move keeps them.  Entries whose slots all cancelled, which
+    The moves are read straight from the move table (_MOVES).  An up move
+    shifts the slots up by one; a down or left move drops the signed slot 0,
+    whose walks at level 0 cannot take it, and shifts the rest down; a
+    horizontal move keeps them.  Walks of length n never pass level n, so
+    the sweep needs no level cap.  Entries whose slots all cancelled, which
     only a negative weight can cause, are dropped.
     """
     require_exact(sigma)
@@ -264,18 +257,15 @@ def _sweep(
         else (0, sigma.numerator * (scale // sigma.denominator)),
     }
     cancels = any(mult < 0 for _, mult in effect.values())
-    # the moves are the same at every level, so levels 0..2 show each of
-    # them; walks of length n never pass level n, so the sweep needs no cap
-    spec = build_automaton(variant, 2)
     # per source layer: (key delta, level change + 1, multiplier)
     moves: list[list[tuple[int, int, int]]] = [[] for _ in _LAYERS]
-    for (src, _), (dst, shift, weight) in _layer_moves(spec).items():
+    for (src, _), (dst, shift, weight) in _MOVES[variant].items():
         d_index, mult = effect[weight]
         if mult:
             d_layer = _LAYER_INDEX[dst] - _LAYER_INDEX[src]
             delta = (d_layer << 2 * bits) + d_index
             moves[_LAYER_INDEX[src]].append((delta, shift + 1, mult))
-    start_layer, start_level = spec.start
+    start_layer, start_level = _START
     half = 1 << width - 1
 
     def frontiers() -> Iterator[dict[int, int]]:

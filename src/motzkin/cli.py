@@ -8,11 +8,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .automata import dp_count, dp_series
 from .oracle import (
@@ -78,38 +79,32 @@ class OeisAnchor:
     id: Optional[str]
     label: str
     variant: Variant
-    u: Fraction
-    sigma: Fraction
-    tau: Fraction
+    u: Rat
+    sigma: Rat
+    tau: Rat
     terms: tuple[int, ...]
 
 
-def _anchor(id, label, variant, u, sigma, tau, terms):
-    return OeisAnchor(
-        id, label, variant, Fraction(u), Fraction(sigma), Fraction(tau),
-        tuple(terms),
-    )
-
-
+# the values are ints, as _parse_value gives integral values to ``series``
 ANCHORS: tuple[OeisAnchor, ...] = (
-    _anchor("A004148", "valleyless excursions", Variant.PLAIN, 0, 0, 1,
-            (1, 1, 2, 4, 8, 17, 37, 82)),
-    _anchor("A004148", "peakless excursions", Variant.PLAIN, 0, 1, 0,
-            (1, 1, 1, 2, 4, 8, 17, 37)),
-    _anchor("A004149", "cornerless excursions", Variant.PLAIN, 0, 0, 0,
-            (1, 1, 1, 2, 4, 8, 16, 33)),
-    _anchor("A001006", "all excursions", Variant.PLAIN, 0, 1, 1,
-            (1, 1, 2, 4, 9, 21, 51, 127, 323)),
-    _anchor(None, "valleyless meanders", Variant.PLAIN, 1, 0, 1,
-            (1, 2, 5, 12, 29, 71, 175, 434, 1082, 2709, 6807)),
-    _anchor("A091964", "peakless meanders", Variant.PLAIN, 1, 1, 0,
-            (1, 2, 4, 9, 21, 50, 121, 296, 730, 1812, 4521)),
-    _anchor("A308435", "cornerless meanders", Variant.PLAIN, 1, 0, 0,
-            (1, 2, 4, 9, 20, 45, 102, 233, 535, 1234, 2857)),
-    _anchor("A005773", "all meanders", Variant.PLAIN, 1, 1, 1,
-            (1, 2, 5, 13, 35, 96, 267, 750, 2123, 6046, 17303)),
-    _anchor("A082582", "skew meanders", Variant.SKEW, 1, 1, 1,
-            (1, 2, 5, 14, 40, 117, 348, 1049)),
+    OeisAnchor("A004148", "valleyless excursions", Variant.PLAIN, 0, 0, 1,
+               (1, 1, 2, 4, 8, 17, 37, 82)),
+    OeisAnchor("A004148", "peakless excursions", Variant.PLAIN, 0, 1, 0,
+               (1, 1, 1, 2, 4, 8, 17, 37)),
+    OeisAnchor("A004149", "cornerless excursions", Variant.PLAIN, 0, 0, 0,
+               (1, 1, 1, 2, 4, 8, 16, 33)),
+    OeisAnchor("A001006", "all excursions", Variant.PLAIN, 0, 1, 1,
+               (1, 1, 2, 4, 9, 21, 51, 127, 323)),
+    OeisAnchor(None, "valleyless meanders", Variant.PLAIN, 1, 0, 1,
+               (1, 2, 5, 12, 29, 71, 175, 434, 1082, 2709, 6807)),
+    OeisAnchor("A091964", "peakless meanders", Variant.PLAIN, 1, 1, 0,
+               (1, 2, 4, 9, 21, 50, 121, 296, 730, 1812, 4521)),
+    OeisAnchor("A308435", "cornerless meanders", Variant.PLAIN, 1, 0, 0,
+               (1, 2, 4, 9, 20, 45, 102, 233, 535, 1234, 2857)),
+    OeisAnchor("A005773", "all meanders", Variant.PLAIN, 1, 1, 1,
+               (1, 2, 5, 13, 35, 96, 267, 750, 2123, 6046, 17303)),
+    OeisAnchor("A082582", "skew meanders", Variant.SKEW, 1, 1, 1,
+               (1, 2, 5, 14, 40, 117, 348, 1049)),
 )
 
 
@@ -336,6 +331,22 @@ def cmd_count(args: argparse.Namespace) -> int:
     return OK
 
 
+@contextlib.contextmanager
+def _int_text_unlimited(unbounded: bool) -> Iterator[None]:
+    """Under --unbounded, lift Python's limit on the digits of an int turned
+    into text, which numbers past the value or order bound can exceed, and
+    restore it afterwards."""
+    if not unbounded:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_series(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
     if args.order is not None:
@@ -364,21 +375,23 @@ def cmd_series(args: argparse.Namespace) -> int:
             power for power in range(order + 1)
             if dp.coefficient(power) != closed.coefficient(power)
         ]
-        for power in differing:
-            print(
-                f"z^{power}: dp {dp.coefficient(power)} "
-                f"!= closed {closed.coefficient(power)}"
-            )
+        with _int_text_unlimited(args.unbounded):
+            for power in differing:
+                print(
+                    f"z^{power}: dp {dp.coefficient(power)} "
+                    f"!= closed {closed.coefficient(power)}"
+                )
         if differing:
             print(f"engines differ first at z^{differing[0]}", file=sys.stderr)
             return FAIL
         return OK
 
     series = compute(args.engine)
-    if args.format == "json":
-        print(series.to_json_text())
-    else:
-        print(series.to_text())
+    with _int_text_unlimited(args.unbounded):
+        if args.format == "json":
+            print(series.to_json_text())
+        else:
+            print(series.to_text())
     return OK
 
 

@@ -10,9 +10,7 @@ from motzkin.automata import (
     WEIGHT_ONE,
     WEIGHT_SIGMA,
     WEIGHT_TAU,
-    AutomatonSpec,
     Layer,
-    Transition,
     _sweep,
     build_automaton,
     dp_count,
@@ -353,25 +351,15 @@ def test_every_frontier_slot_fits_its_width(monkeypatch):
                 assert packed == true
 
 
-def test_layer_moves_come_from_the_transition_list():
-    spec = build_automaton(Variant.SKEW, 3)
-    moves = automata._layer_moves(spec)
-    assert moves[Layer.AFTER_U, "D"] == (Layer.AFTER_D, -1, WEIGHT_TAU)
-    assert moves[Layer.AFTER_L, "L"] == (Layer.AFTER_L, -1, WEIGHT_ONE)
-    assert len(moves) == len({(t.src[0], t.step) for t in spec.transitions})
-    # a move missing at one level, or weighted differently there, cannot be
-    # made on all levels by one shift
-    gap = tuple(
-        t for t in spec.transitions if (t.src, t.step) != ((Layer.AFTER_D, 2), "H")
-    )
-    odd = tuple(
-        Transition(t.src, t.step, t.dst, WEIGHT_SIGMA)
-        if (t.src, t.step) == ((Layer.AFTER_H, 1), "H") else t
-        for t in spec.transitions
-    )
-    for transitions in (gap, odd):
-        with pytest.raises(ValueError):
-            automata._layer_moves(AutomatonSpec(Variant.SKEW, 3, transitions))
+def test_move_table_is_the_automaton():
+    moves = automata._MOVES
+    assert moves[Variant.SKEW][Layer.AFTER_U, "D"] == (Layer.AFTER_D, -1, WEIGHT_TAU)
+    assert moves[Variant.SKEW][Layer.AFTER_L, "L"] == (Layer.AFTER_L, -1, WEIGHT_ONE)
+    # every move at every level it keeps within 0..cap: up moves below the
+    # cap, down and left moves above 0, horizontal moves everywhere
+    for cap in range(7):
+        assert len(build_automaton(Variant.PLAIN, cap).transitions) == 9 * cap + 3
+        assert len(build_automaton(Variant.SKEW, cap).transitions) == 14 * cap + 4
 
 
 def test_dp_refuses_inexact_values():

@@ -251,6 +251,19 @@ def test_series_unbounded_lifts_the_value_bound(capsys):
     assert out.splitlines()[1] == f"z^1: {10**300 + 1}/{10**300}"
 
 
+def test_series_unbounded_prints_past_the_digit_limit(capsys):
+    # from z^15 on, the numbers here have more digits than Python turns
+    # into text by default
+    limit = sys.get_int_max_str_digits()
+    rc, out, _ = run(
+        capsys, "series", "--unbounded", "--order", "15", "--u=1e-300",
+        "--sigma", "1", "--tau", "1",
+    )
+    assert rc == 0
+    assert sum(line.startswith("z^") for line in out.splitlines()) == 16
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_series_symbolic_text(capsys):
     rc, out, _ = run(capsys, "series", "--variant", "plain", "--order", "2")
     assert rc == 0

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from motzkin import oracle
+from motzkin import automata, oracle
 from motzkin.cli import CHECK_MAX_N
 from motzkin.oracle import (
     MAX_PATH_LEN,
@@ -251,3 +251,18 @@ def test_oracle_imports_only_paths():
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("motzkin") for a in node.names)
     assert package_imports == {"paths"}
+
+
+def test_dp_imports_only_count_table_and_no_closed_form():
+    # the DP is checked against the oracle and the closed form, so it takes
+    # only the table type from the one and nothing of the other
+    tree = ast.parse(Path(automata.__file__).read_text())
+    names: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert set(names) == {"oracle", "paths", "series"}
+    assert names["oracle"] == {"CountTable"}
+    closed = {"closed_form", "boundary_values", "ClosedForm", "_total", "_constant_terms"}
+    assert not names["series"] & closed
+    assert not any(name.startswith("kernel_") for name in names["series"])
