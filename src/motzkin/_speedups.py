@@ -2,14 +2,17 @@
 
 Polynomials are dicts mapping packed exponent keys to int or Fraction
 coefficients; adding two keys multiplies the monomials.  They serve
-``Series`` products and divisions and W's recurrence.  The total's
-recurrence, once the hot loop of a symbolic series, runs the same loop on
-coefficients packed in u, one int per (s, t) monomial.
+``Series`` products and divisions and ``Series.sqrt``.  The closed form's
+recurrences run the same loop on packed coefficients: the total's on one
+int per (s, t) monomial holding the u-polynomial, W's (for C0) on one int
+per power of t holding the s-polynomial, or on one int holding the
+t-polynomial when only tau is symbolic.
 
 ``perfbench/tracer.py`` wraps ``poly_acc`` and ``poly_mul`` to count
 products, so ``poly_mul`` shares the loop through ``_accumulate`` rather
-than calling ``poly_acc``: each product is then counted once.  The
-total's packed products go through ``poly_acc`` too, and are counted.
+than calling ``poly_acc``: each product is then counted once.  The packed
+products of the total and of W go through ``poly_acc`` too, and are
+counted.
 """
 
 from __future__ import annotations

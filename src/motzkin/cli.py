@@ -49,6 +49,9 @@ MAX_SERIES_ORDER = 60
 # numerator has at most 194*n bits (3 504 digits at n = 60)
 MAX_VALUE_BITS = 64
 
+# characters of a refused value that its error message quotes
+MAX_ECHO = 40
+
 # `bargraph --columns` prints a path whose length grows with the heights,
 # not with the argument's size, so that length is bounded before the walk
 MAX_BARGRAPH_PATH_LEN = 10**6
@@ -280,20 +283,22 @@ def _parse_value(text: str, flag: str, unbounded: bool) -> Optional[Rat]:
     is refused, before any work and without building it: m*10^x with m != 0
     written in at most len(text) digits has one of at least 10^20 once |x|
     exceeds len(text) + 20, so only the mantissa of such a text is read.
+    An error message quotes at most the first MAX_ECHO characters of text.
     """
     if text == "sym":
         return None
+    shown = text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
     mantissa, _, exponent = text.lower().partition("e")
     try:
         far = "/" not in text and abs(int(exponent or 0)) > len(text) + 20
         far = far and not unbounded
         value = Fraction(mantissa if far else text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag} expects a rational number or 'sym', got {text!r}")
+        raise ValueError(f"{flag} expects a rational number or 'sym', got {shown!r}")
     bits = max(abs(value.numerator), value.denominator).bit_length()
     if far and value or bits > MAX_VALUE_BITS and not unbounded:
         raise ValueError(
-            f"{flag} {text} exceeds the bound 2^{MAX_VALUE_BITS} on a numerator "
+            f"{flag} {shown} exceeds the bound 2^{MAX_VALUE_BITS} on a numerator "
             "or denominator; pass --unbounded to override"
         )
     return value.numerator if value.denominator == 1 else value
@@ -354,9 +359,10 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         order, name = default_order(), "MOTZKIN_ORDER"
     _check_length_bound(order, MAX_SERIES_ORDER, args.unbounded, name)
-    u = _parse_value(args.u, "--u", args.unbounded)
-    sigma = _parse_value(args.sigma, "--sigma", args.unbounded)
-    tau = _parse_value(args.tau, "--tau", args.unbounded)
+    with _int_text_unlimited(args.unbounded):
+        u = _parse_value(args.u, "--u", args.unbounded)
+        sigma = _parse_value(args.sigma, "--sigma", args.unbounded)
+        tau = _parse_value(args.tau, "--tau", args.unbounded)
 
     def compute(engine: str):
         # numeric values go into both engines; specialize() with no value

@@ -39,10 +39,14 @@ comment for the formulas and why they hold).  C0 and the total run in
 integers at any values: with q the lcm of the values' denominators they are
 worked out at z/q, where every constant has integer coefficients, and their
 z^n coefficients are divided by q^n once, at the end, by the same _unscaled
-(as are the DP's).  The total is dense in u, so its recurrence holds each
+(as are the DP's).  Both recurrences pack one variable (Kronecker
+substitution): the total is dense in u, so its recurrence holds each
 coefficient as one int per monomial in s and t, the u-polynomial evaluated
-at u = 2^width (Kronecker substitution), with a width proven to hold every
-coefficient; each is unpacked once, at the end.
+at u = 2^width; W's recurrence and the C0 step hold one int per power of t,
+the s-polynomial at s = 2^width, or with sigma numeric one int, the
+t-polynomial.  Each width is proven to hold every value, every division by
+an integer is exact slot by slot, and each coefficient is unpacked once,
+at the end.
 """
 
 from __future__ import annotations
@@ -379,13 +383,40 @@ def _divide(terms: dict[int, int], d: int, name: str) -> dict[int, int]:
     return out
 
 
-def _sqrt_terms(radicand: list[dict[int, int]]) -> Iterator[dict]:
+def _divide_slots(
+    terms: dict[int, int], d: int, name: str, width: int, count: int
+) -> dict[int, int]:
+    """_divide on values packed at 2^width in count signed slots, exact slot
+    by slot: a packed remainder alone sees only the low slot when d is a
+    power of two.  With b = width - 2 - bitlen(d), every slot of a quotient
+    must lie in [-2^b, 2^b), tested at once by adding 2^b to every slot and
+    masking the bits above b + 1 of each slot and all bits above the count.
+    That holds when every dividend slot lies strictly inside +-2^(width - 3)
+    and divides; and if it holds, d times each quotient slot lies strictly
+    inside +-2^(width - 2), so these are the dividend's slots, and each
+    divides.  At width 0 this is _divide."""
+    out = _divide(terms, d, name)
+    if width:
+        b = width - 2 - d.bit_length()
+        ones = ((1 << width * count) - 1) // ((1 << width) - 1)  # 1 in each slot
+        top = (ones << width) - (ones << b + 1) | (-1 << width * count)
+        offset = ones << b
+        if any((value + offset) & top for value in out.values()):
+            raise ArithmeticError(f"{d} does not divide a coefficient of {name}")
+    return out
+
+
+def _sqrt_terms(
+    radicand: list[dict[int, int]], width: int = 0, count: int = 0
+) -> Iterator[dict]:
     """The coefficients of the root W of a radicand with constant term 1, in
     order, as far as they are read: J. C. P. Miller's recurrence for a power
     of a series (Knuth, TAOCP vol. 2, 4.7),
         2m*W[m] = sum_{k>=1} (3k - 2m)*radicand[k]*W[m-k],
-    divided by _divide, so W must be integral.  Only the last len(radicand) - 1
-    coefficients are kept, so a polynomial radicand runs in a fixed window."""
+    divided by _divide_slots, so W must be integral.  The values are ints,
+    or packed at 2^width in count signed slots (see boundary_values).  Only
+    the last len(radicand) - 1 coefficients are kept, so a polynomial
+    radicand runs in a fixed window."""
     window = [{0: 1}]  # W[m-k] is window[-k]
     for m in itertools.count(1):
         yield window[-1]
@@ -394,7 +425,8 @@ def _sqrt_terms(radicand: list[dict[int, int]]) -> Iterator[dict]:
             if 3 * k != 2 * m and terms and window[-k]:
                 scaled = {key: (3 * k - 2 * m) * value for key, value in terms.items()}
                 _speedups.poly_acc(acc, scaled, window[-k])
-        window = (window + [_divide(acc, 2 * m, "W")])[1 - len(radicand) :]
+        root = _divide_slots(acc, 2 * m, "W", width, count)
+        window = (window + [root])[1 - len(radicand) :]
 
 
 class Series:
@@ -724,8 +756,28 @@ def specialize(
 # each term is at most (q*M)^n in size (_slot_width).  A u-free remainder
 # smaller than 2^width shows in the low slot, so C0 is still re-checked at
 # every order.  A numeric u needs no slots: the same loop runs on plain ints
-# (width 0).  Only u is packed, and only here: a box over z, s and t as
-# well would be about 98% empty.
+# (width 0).
+#
+# C0 is dense in s and t too (its terms fill about 80% of the s-slots their
+# t exponents span), so boundary_values packs s when sigma is symbolic, else
+# t when tau is, and runs W's recurrence and the C0 step on one int per
+# exponent of the other variable; with both numeric they run on plain ints.
+# Dividing by s drops the low slot, which raises unless it is zero.  The
+# width holds every value they divide.  With B = letters*ceil(q*M): C0[n] at
+# z/q has slots of at most B^n (as T's above), P[k] at most B^k (2/9 of it
+# from k = 2 on), and 3*q*M <= B, so rho = D + (s + z*D)*C0 has slots of at
+# most 2*M*B^n at z^n, and W = P - 2z^2*rho at most B^m at z^m, as
+# q^2*M <= B^2/9.  W's accumulator 2m*W[m] is then at most 2m*B^m, and the
+# C0 step's dividend, 2q^2*sigma's numerator*(C0[n] - G0[n]) at m = n + 2,
+# at most B^(m+1); m stays below last = order + 3 (+ 1 at sigma = 0).  So
+# width = _slot_width(last) + bitlen(last) + 3 keeps every dividend strictly
+# inside +-2^(width - 3), which _divide_slots needs to prove each quotient
+# exact slot by slot: the packed remainder sees only the low slot, so (4, 1)
+# is divisible by 4 as a packed int.  The degree in the packed variable of
+# a z^m coefficient is at most m, below last, so last slots hold every
+# value.  Only one variable is packed in each recurrence: a box over z and
+# two of u, s and t would be about 98% empty, and s nested inside T's
+# u-packed ints runs slower (see the ROADMAP's measured dead ends).
 
 
 def _terms_at(
@@ -908,15 +960,28 @@ def boundary_values(
     Numeric sigma and tau are substituted first, as in the whole pipeline,
     and the work runs at z/q, with q the lcm of their denominators, so every
     division is exact in integers and a remainder raises ArithmeticError.
-    Each coefficient of C0 is divided by q^n once, at the end.
+    A symbolic sigma is packed, else a symbolic tau: every coefficient is a
+    dict of keys free of it to one int, every division is exact slot by slot
+    (_divide_slots), and dividing by s drops the low slot, which raises if
+    it is not zero.  Each coefficient of C0 is unpacked and divided by q^n
+    once, at the end.
     """
     a = _A[variant]
     scale = _value_scale(sigma, tau)
+    last = order + (4 if sigma == 0 else 3)
+    field = _SHIFT if sigma is None else 2 * _SHIFT  # s's bits in a key, else t's
+    width = 0
+    if sigma is None or tau is None:  # every value lies inside +-2^(width - 3)
+        width = _slot_width(variant, last, scale, sigma, tau) + last.bit_length() + 3
+
+    def packed(terms: _Terms, z_order: int) -> list[dict[int, int]]:
+        coeffs = _terms_at(z_order, terms, sigma, tau, None, scale).coefficients()
+        return [_pack_slots(c._terms, width, field) for c in coeffs]
+
     p, q = _constant_terms(variant)[:2]
-    delta = _terms_at(6, _times(p, p) + _shifted(q, -4, 2), sigma, tau, None, scale)
-    p = [c._terms for c in _terms_at(3, p, sigma, tau, None, scale).coefficients()]
-    p.append({})
-    roots = _sqrt_terms([c._terms for c in delta.coefficients()])
+    delta = packed(_times(p, p) + _shifted(q, -4, 2), 6)
+    p = packed(p, 3) + [{}]
+    roots = _sqrt_terms(delta, width, last)
     # at z/q, with G0[n] = q*C0[n-1] and G0[0] = 1, C0's equation reads
     #     2q^2*s*(C0[n] - G0[n]) = P[n+2] - W[n+2] - 2a*q^2*G0[n];
     # a numeric sigma's denominator multiplies the right side
@@ -924,28 +989,29 @@ def boundary_values(
     mult = 1 if sigma is None or sigma == 0 else sigma.denominator
     divisor = 2 * sq * (1 if sigma is None else sigma.numerator)
     g0_mult = 2 * a * sq * mult
+    low = (1 << width) - 1
     c0: list[dict[int, int]] = []
     g0: dict[int, int] = {0: 1}
-    last = order + (4 if sigma == 0 else 3)
     for m, w in enumerate(itertools.islice(roots, 2, last), 2):
         acc = {key: -mult * value for key, value in w.items()}
         for key, value in p[min(m, 4)].items():
             acc[key] = acc.get(key, 0) + mult * value
         if sigma == 0:  # rho[n] = a*C0[n-1], and rho[n] is q^(-n-2)*acc/2
             if m > 2:
-                c0.append(_divide(acc, 2 * a * sq * scale, "C0"))
+                c0.append(_divide_slots(acc, 2 * a * sq * scale, "C0", width, last))
             continue
         for key, value in g0.items():
             acc[key] = acc.get(key, 0) - g0_mult * value
-        acc = _divide(acc, divisor, "C0")
-        if sigma is None:  # divide by s: shift its exponent
-            if any(not key >> _SHIFT & _MASK for key in acc):
+        acc = _divide_slots(acc, divisor, "C0", width, last)
+        if sigma is None:  # divide by s: drop the low slot
+            if any(value & low for value in acc.values()):
                 raise ArithmeticError(f"s does not divide z^{m - 2} of C0's equation")
-            acc = {key - (1 << _SHIFT): value for key, value in acc.items()}
+            acc = {key: value >> width for key, value in acc.items()}
         for key, value in g0.items():
             acc[key] = acc.get(key, 0) + value
         c0.append(_speedups.clean_terms(acc))
         g0 = c0[-1] if scale == 1 else {k: scale * v for k, v in c0[-1].items()}
+    c0 = [_unpacked(terms, width, field) for terms in c0]
     total = _unscaled(c0, scale)
     zero = Series.zero(order)
     return ClosedForm(variant, order, total, total, zero, sigma, tau, (scale, c0))
@@ -984,19 +1050,23 @@ def _slot_width(
     q^n*sigma^#DU*tau^#UD over at most letters^n words of length n, each
     term at most (q*M)^n in size as #UD + #DU <= n, so it lies strictly
     inside +-2^(width - 1).  The total's u slots and the DP's level slots
-    both take their width from here."""
+    take their width from here, and W's and C0's s or t slots start from it
+    (see the kernel pipeline comment)."""
     m = max([1] + [abs(value) for value in values if value is not None])
     return ((_LETTERS[variant] * math.ceil(scale * m)) ** order).bit_length() + 1
 
 
-def _pack_u(terms: dict[int, int], width: int) -> dict[int, int]:
-    """{(s, t) key: the u-polynomial at u = 2^width} of a term dict: each
-    u^e term lands in slot e.  At width 0 (no u) the terms come back as
-    they are, less zeros."""
+def _pack_slots(terms: dict[int, int], width: int, field: int) -> dict[int, int]:
+    """{key less the field's exponent: the polynomial in the field's variable
+    at 2^width} of a term dict: its e-th power lands in slot e.  field is the
+    exponent's bit offset in a key: 0 for u, _SHIFT for s, 2*_SHIFT for t.
+    At width 0 (the variable is numeric) the terms come back as they are,
+    less zeros."""
     out: dict[int, int] = {}
     for key, value in terms.items():
-        eu = key & _MASK
-        out[key - eu] = out.get(key - eu, 0) + (value << width * eu)
+        e = key >> field & _MASK
+        rest = key - (e << field)
+        out[rest] = out.get(rest, 0) + (value << width * e)
     return {key: value for key, value in out.items() if value}
 
 
@@ -1004,13 +1074,16 @@ def _unpack_slots(
     out: Union[dict[int, int], list[int]],
     packed: Iterable[tuple[int, int]],
     width: int,
+    field: int = 0,
 ) -> None:
     """Put the nonzero slots of each (key, int packed at 2^width) pair into
-    out (a dict, or a list of zeros long enough), slot j at key + j.  Slots
-    are signed: each is read in [-2^(width - 1), 2^(width - 1)), which gives
-    the packed counts when every count lies strictly inside
+    out (a dict, or a list of zeros long enough), slot j at key + (j << field),
+    field the packed exponent's bit offset in a key (u's, 0, unless given).
+    Slots are signed: each is read in [-2^(width - 1), 2^(width - 1)), which
+    gives the packed counts when every count lies strictly inside
     +-2^(width - 1)."""
     mask, half, full = (1 << width) - 1, 1 << width - 1, 1 << width
+    step = 1 << field
     for key, value in packed:
         while value:
             slot = value & mask
@@ -1020,16 +1093,15 @@ def _unpack_slots(
                 value += 1
             if slot:
                 out[key] = slot
-            key += 1
+            key += step
 
 
-def _unpack_u(packed: dict[int, int], width: int) -> dict[int, int]:
-    """The term dict of a coefficient packed by _pack_u: u's exponent is the
-    low field of a key, so slot e lands at the (s, t) key plus e."""
+def _unpacked(packed: dict[int, int], width: int, field: int) -> dict[int, int]:
+    """The term dict of a coefficient packed by _pack_slots."""
     if not width:
         return packed
     out: dict[int, int] = {}
-    _unpack_slots(out, packed.items(), width)
+    _unpack_slots(out, packed.items(), width, field)
     return out
 
 
@@ -1063,7 +1135,7 @@ def _total(
 
     def packed(terms: _Terms, start: int = 0) -> list[tuple[int, dict[int, int]]]:
         coeffs = _terms_at(order, terms, sigma, tau, u, scale).coefficients()
-        return _nonzero((_pack_u(c._terms, width) for c in coeffs), start)
+        return _nonzero((_pack_slots(c._terms, width, 0) for c in coeffs), start)
 
     factor = packed(_shifted(p, r, 0, 1) + _shifted(q, -r, 1) + [(1, 2, 0, 0, -r)], 1)
     times_c0 = packed(_shifted(z2d, r, 0, 1) + _shifted(q, -r, 1))
@@ -1090,7 +1162,7 @@ def _total(
         else:
             acc = {key: value >> width for key, value in acc.items()}
         total.append(acc)
-    return _unscaled([_unpack_u(terms, width) for terms in total], scale)
+    return _unscaled([_unpacked(terms, width, 0) for terms in total], scale)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)

@@ -264,6 +264,35 @@ def test_series_unbounded_prints_past_the_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_series_unbounded_parses_past_the_digit_limit(capsys):
+    # a value with more digits than Python reads from text by default is
+    # served under --unbounded, and the limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    ones = "1" * 5000
+    rc, out, err = run(capsys, "series", "--unbounded", "--order", "2", f"--u={ones}")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1] == "z^1: " + "1" * 4999 + "2"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_series_value_errors_quote_a_short_prefix(capsys):
+    # a refused value is quoted by its first cli.MAX_ECHO characters only
+    ones = "1" * 5000
+    prefix = "1" * cli.MAX_ECHO + "..."
+    rc, out, err = run(capsys, "series", "--order", "2", f"--u={ones}")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --u expects a rational number or 'sym', got '{prefix}'\n"
+    rc, out, err = run(capsys, "series", "--order", "2", f"--tau={ones}x")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --tau expects a rational number or 'sym', got '{prefix}'\n"
+    rc, out, err = run(capsys, "series", "--order", "2", f"--sigma=1/{'1' * 60}")
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: --sigma 1/{'1' * (cli.MAX_ECHO - 2)}... exceeds the bound 2^64 "
+        "on a numerator or denominator; pass --unbounded to override\n"
+    )
+
+
 def test_series_symbolic_text(capsys):
     rc, out, _ = run(capsys, "series", "--variant", "plain", "--order", "2")
     assert rc == 0

@@ -758,6 +758,23 @@ def test_series_mul_stays_on_integers(monkeypatch):
         assert len(scaled) == 1 and _all_ints(scaled[0])
 
 
+def test_c0_products_pass_through_poly_acc(monkeypatch):
+    # W's recurrence multiplies s-packed coefficients through
+    # _speedups.poly_acc, which perfbench's tracer counts: at symbolic plain
+    # order 28 they touch 2 415 terms, one int per power of t
+    touched = []
+    poly_acc = series_module._speedups.poly_acc
+
+    def count(out, a, b, negate=False):
+        touched.append(len(a) * len(b))
+        poly_acc(out, a, b, negate)
+
+    monkeypatch.setattr(series_module._speedups, "poly_acc", count)
+    boundary_values(Variant.PLAIN, 28)
+    assert len(touched) == 162
+    assert sum(touched) == 2_415
+
+
 def test_total_products_pass_through_poly_acc(monkeypatch):
     # the total's packed multiply-adds go through _speedups.poly_acc, which
     # perfbench's tracer counts: at plain order 28 they touch 11 545 terms
@@ -817,13 +834,13 @@ def test_u_packing_round_trips_signed_slots(width):
                 terms[series_module._pack(eu, es, et)] = value
     terms[series_module._pack(0, 7, 7)] = -edge
     terms[series_module._pack(40, 1, 1)] = edge
-    packed = series_module._pack_u(terms, width)
+    packed = series_module._pack_slots(terms, width, 0)
     assert len(packed) == 6  # one int per (s, t) monomial
-    assert series_module._unpack_u(packed, width) == terms
+    assert series_module._unpacked(packed, width, 0) == terms
     # the low slot goes by a right shift, as the total divides by u
     shifted = {key: value << width for key, value in packed.items()}
     assert all(not value & (1 << width) - 1 for value in shifted.values())
-    assert series_module._unpack_u(shifted, width) == {k + 1: v for k, v in terms.items()}
+    assert series_module._unpacked(shifted, width, 0) == {k + 1: v for k, v in terms.items()}
 
 
 @pytest.mark.parametrize(
@@ -908,6 +925,71 @@ def test_scaled_c0_recurrence_refuses_a_wrong_discriminant(monkeypatch, coeff, m
         with pytest.raises(ArithmeticError, match=message):
             boundary_values(variant, 12, HALF)
         assert len(hits) == 1
+
+
+@pytest.mark.parametrize("width", [8, 61, 64, 65, 130])
+def test_packed_division_is_exact_slot_by_slot(width):
+    # slots (4, 1) make a packed int divisible by 4 whose top slot is not:
+    # the remainder alone sees only the low slot
+    value = 4 + (1 << width)
+    assert value % 4 == 0
+    with pytest.raises(ArithmeticError, match="4 does not divide a coefficient of W"):
+        series_module._divide_slots({0: value}, 4, "W", width, 2)
+    # slots (4, -8, 12) divide: the quotient's slots are (1, -2, 3)
+    value = 4 - (8 << width) + (12 << 2 * width)
+    quotient = series_module._divide_slots({5: value}, 4, "W", width, 3)
+    assert quotient == {5: 1 - (2 << width) + (3 << 2 * width)}
+    # a negative slot next to a positive one, and slots at the edge of the
+    # range the check admits, 2^(width - 3) in size or just below
+    b = width - 2 - (3).bit_length()
+    slots = [-(1 << b), (1 << b) - 1, -1, 1]
+    value = sum((3 * slot) << width * j for j, slot in enumerate(slots))
+    quotient = series_module._divide_slots({0: value}, 3, "W", width, 4)
+    assert quotient == {0: value // 3}
+    # one slot past the count is refused
+    with pytest.raises(ArithmeticError):
+        series_module._divide_slots({0: 3 << 4 * width}, 3, "W", width, 4)
+    # at width 0 the values are plain ints
+    assert series_module._divide_slots({0: 4 + (1 << 8)}, 4, "W", 0, 0) == {0: 65}
+
+
+def test_c0_slots_fit_their_width(monkeypatch):
+    # the same recurrences on slots 64 bits wider hold the true values: every
+    # dividend of W's and C0's exact divisions must lie strictly inside
+    # +-2^(width - 3), as _divide_slots needs, and decode from the packed run
+    # as it is.  Symbolic (s packed), at sigma = 3/2 (t packed) and at
+    # tau = -2/3 (s packed, t numeric)
+    divide_slots, slot_width = series_module._divide_slots, series_module._slot_width
+    unpack_slots = series_module._unpack_slots
+    calls = []
+
+    def record(terms, d, name, width, count):
+        calls.append((name, d, dict(terms), width))
+        return divide_slots(terms, d, name, width, count)
+
+    monkeypatch.setattr(series_module, "_divide_slots", record)
+    for variant in Variant:
+        for sigma, tau in ((None, None), (THREE_HALVES, None), (None, Fraction(-2, 3))):
+            calls.clear()
+            c0 = boundary_values(variant, 24, sigma, tau).total
+            narrow = list(calls)
+            calls.clear()
+            monkeypatch.setattr(
+                series_module, "_slot_width", lambda *args: slot_width(*args) + 64
+            )
+            wide_c0 = boundary_values(variant, 24, sigma, tau).total
+            monkeypatch.setattr(series_module, "_slot_width", slot_width)
+            assert wide_c0.to_text() == c0.to_text()
+            assert len(narrow) == len(calls) > 2 * 24
+            for (name, d, terms, width), (*same, wide_terms, wide) in zip(narrow, calls):
+                assert same == [name, d] and wide == width + 64 and width > 0
+                assert terms.keys() == wide_terms.keys()
+                for key, value in wide_terms.items():
+                    true, packed = {}, {}
+                    unpack_slots(true, ((0, value),), wide)
+                    unpack_slots(packed, ((0, terms[key]),), width)
+                    assert all(abs(slot) < 1 << width - 3 for slot in true.values())
+                    assert packed == true
 
 
 def test_total_takes_no_division_product_or_kernel_root(monkeypatch):
