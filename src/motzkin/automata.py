@@ -39,14 +39,12 @@ from __future__ import annotations
 import enum
 import functools
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .oracle import CountTable
 from .series import (
-    _EXP_LIMIT,
     _SHIFT,
     CACHE_SIZE,
     Poly,
@@ -55,6 +53,7 @@ from .series import (
     _slot_width,
     _unpack_slots,
     _unscaled,
+    _value_scale,
     require_exact,
 )
 from .paths import PathWord, Variant
@@ -232,9 +231,10 @@ def _sweep(
     times the weighted number of walks of length n that end there at level
     j.  A weight left as None is counted by its index (#UD for tau, #DU for
     sigma); a numeric weight multiplies the count instead and leaves its
-    index at 0.  scale is the common denominator of the numeric weights, and
-    every move multiplies by its weight times scale, so every count is an
-    int, and the width of series._slot_width holds it in a signed slot.
+    index at 0.  scale is the common denominator of the numeric weights
+    (series._value_scale, as for the closed form), and every move multiplies
+    by its weight times scale, so every count is an int, and the width of
+    series._slot_width holds it in a signed slot.
 
     The moves are read straight from the move table (_MOVES).  An up move
     shifts the slots up by one; a down or left move drops the signed slot 0,
@@ -243,9 +243,7 @@ def _sweep(
     the sweep needs no level cap.  Entries whose slots all cancelled, which
     only a negative weight can cause, are dropped.
     """
-    require_exact(sigma)
-    require_exact(tau)
-    scale = math.lcm(*(v.denominator for v in (sigma, tau) if v is not None))
+    scale = _value_scale(sigma, tau)
     bits = n_max.bit_length()
     width = _slot_width(variant, n_max, scale, sigma, tau)
     # (index delta, multiplier) of a transition, by its weight
@@ -357,7 +355,7 @@ def dp_series(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order >= _EXP_LIMIT:  # no exponent exceeds the order
+    if order >> _SHIFT:  # no exponent exceeds the order
         raise ValueError(f"exponent out of range: order {order}")
     require_exact(u)
     bits, width, scale, frontiers = _sweep(variant, order, sigma, tau)

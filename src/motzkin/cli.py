@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,23 +281,33 @@ def _parse_value(text: str, flag: str, unbounded: bool) -> Optional[Rat]:
     """A rational value, as an int when it is integral, or None for 'sym'.
 
     Unless unbounded, a numerator or denominator of 2^MAX_VALUE_BITS or more
-    is refused, before any work and without building it: m*10^x with m != 0
-    written in at most len(text) digits has one of at least 10^20 once |x|
-    exceeds len(text) + 20, so only the mantissa of such a text is read.
+    is refused, before any work and without building it.  A digit run longer
+    than Python's default limit on int-from-text conversion (leading zeros
+    do not count, except after a decimal point, where they scale) is refused
+    as written; its text is read with every run cut to one digit, only to
+    tell a number from a typo.  Then m*10^x with m != 0 written in at most
+    len(text) digits has one of at least 10^20 once |x| exceeds len(text) +
+    20, so only the mantissa of such a text is read.  No int of more digits
+    than that limit is built, so the text is read with the limit lifted.
     An error message quotes at most the first MAX_ECHO characters of text.
     """
     if text == "sym":
         return None
     shown = text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
+    runs = re.findall(r"(\.?)([\d_]+)", text)
+    digits = max((len(r if dot else r.lstrip("0_")) for dot, r in runs), default=0)
+    if long := digits > sys.int_info.default_max_str_digits and not unbounded:
+        text = re.sub(r"\d+", "1", text)
     mantissa, _, exponent = text.lower().partition("e")
     try:
-        far = "/" not in text and abs(int(exponent or 0)) > len(text) + 20
-        far = far and not unbounded
-        value = Fraction(mantissa if far else text)
+        with _int_text_unlimited(True):
+            far = "/" not in text and abs(int(exponent or 0)) > len(text) + 20
+            far = far and not unbounded
+            value = Fraction(mantissa if far else text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag} expects a rational number or 'sym', got {shown!r}")
     bits = max(abs(value.numerator), value.denominator).bit_length()
-    if far and value or bits > MAX_VALUE_BITS and not unbounded:
+    if long or far and value or bits > MAX_VALUE_BITS and not unbounded:
         raise ValueError(
             f"{flag} {shown} exceeds the bound 2^{MAX_VALUE_BITS} on a numerator "
             "or denominator; pass --unbounded to override"
@@ -359,10 +370,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         order, name = default_order(), "MOTZKIN_ORDER"
     _check_length_bound(order, MAX_SERIES_ORDER, args.unbounded, name)
-    with _int_text_unlimited(args.unbounded):
-        u = _parse_value(args.u, "--u", args.unbounded)
-        sigma = _parse_value(args.sigma, "--sigma", args.unbounded)
-        tau = _parse_value(args.tau, "--tau", args.unbounded)
+    u = _parse_value(args.u, "--u", args.unbounded)
+    sigma = _parse_value(args.sigma, "--sigma", args.unbounded)
+    tau = _parse_value(args.tau, "--tau", args.unbounded)
 
     def compute(engine: str):
         # numeric values go into both engines; specialize() with no value
@@ -374,30 +384,25 @@ def cmd_series(args: argparse.Namespace) -> int:
             series = closed_form(variant, order, sigma, tau, u).total
         return series.specialize()
 
-    if args.engine == "both":
+    with _int_text_unlimited(args.unbounded):
+        if args.engine != "both":
+            series = compute(args.engine)
+            print(series.to_json_text() if args.format == "json" else series.to_text())
+            return OK
         dp = compute("dp")
         closed = compute("closed")
         differing = [
             power for power in range(order + 1)
             if dp.coefficient(power) != closed.coefficient(power)
         ]
-        with _int_text_unlimited(args.unbounded):
-            for power in differing:
-                print(
-                    f"z^{power}: dp {dp.coefficient(power)} "
-                    f"!= closed {closed.coefficient(power)}"
-                )
-        if differing:
-            print(f"engines differ first at z^{differing[0]}", file=sys.stderr)
-            return FAIL
-        return OK
-
-    series = compute(args.engine)
-    with _int_text_unlimited(args.unbounded):
-        if args.format == "json":
-            print(series.to_json_text())
-        else:
-            print(series.to_text())
+        for power in differing:
+            print(
+                f"z^{power}: dp {dp.coefficient(power)} "
+                f"!= closed {closed.coefficient(power)}"
+            )
+    if differing:
+        print(f"engines differ first at z^{differing[0]}", file=sys.stderr)
+        return FAIL
     return OK
 
 

@@ -7,10 +7,14 @@ power of z, each carrying a truncation order; arithmetic results carry the
 minimum order of the operands.  All arithmetic is exact (ints and Fractions,
 never floats); a value that is neither an int nor a Fraction is refused
 with TypeError wherever one is given as a coefficient or substituted.
-Products, quotients and roots (``__mul__``, ``div``, ``sqrt``) share one
-way into the integers and one way out: the operands are cleared by one
-common denominator d (_cleared) and, where a recurrence divides, taken to
-z/c (_scaled); the work runs on ints, and _unscaled divides each z^n
+Terms become a series in one place, _terms_at: Poly(), Series.from_terms,
+Series.from_json, Poly.substitute and Series.specialize go through it, as
+do the pipeline's constants, so one loop sums like terms, refuses a bad
+exponent or coefficient and substitutes numeric values.  Products,
+quotients and roots (``__mul__``, ``div``, ``sqrt``) share one way into the
+integers and one way out: the operands are cleared by one common
+denominator d (_cleared) and, where a recurrence divides, taken to z/c
+(_scaled); the work runs on ints, and _unscaled divides each z^n
 coefficient by d*c^n once, at the end.  The division runs at c = the
 divisor's cleared constant term, the root at c = 4q.
 
@@ -39,14 +43,17 @@ comment for the formulas and why they hold).  C0 and the total run in
 integers at any values: with q the lcm of the values' denominators they are
 worked out at z/q, where every constant has integer coefficients, and their
 z^n coefficients are divided by q^n once, at the end, by the same _unscaled
-(as are the DP's).  Both recurrences pack one variable (Kronecker
-substitution): the total is dense in u, so its recurrence holds each
-coefficient as one int per monomial in s and t, the u-polynomial evaluated
-at u = 2^width; W's recurrence and the C0 step hold one int per power of t,
-the s-polynomial at s = 2^width, or with sigma numeric one int, the
-t-polynomial.  Each width is proven to hold every value, every division by
-an integer is exact slot by slot, and each coefficient is unpacked once,
-at the end.
+(as are the DP's); the total reads C0's term dicts as they are when q = 1
+and takes them back to z/q through _scaled otherwise.  Both recurrences
+pack one variable (Kronecker substitution): the total is dense in u, so
+its recurrence holds each coefficient as one int per monomial in s and t,
+the u-polynomial evaluated at u = 2^width; W's recurrence and the C0 step
+hold one int per power of t, the s-polynomial at s = 2^width, or with
+sigma numeric one int, the t-polynomial.  Each width is proven to hold
+every value, every division by an integer is exact slot by slot, and each
+coefficient is unpacked once, at the end.  The two recurrences share their
+constant packer (_packed) and their division by the packed variable
+(_divided_by_slot).
 """
 
 from __future__ import annotations
@@ -77,7 +84,6 @@ CACHE_SIZE = 32
 # products become integer additions
 _SHIFT = 21
 _MASK = (1 << _SHIFT) - 1
-_EXP_LIMIT = 1 << _SHIFT
 
 
 def default_order() -> int:
@@ -95,7 +101,7 @@ def default_order() -> int:
 
 
 def _pack(eu: int, es: int, et: int) -> int:
-    if not (0 <= eu < _EXP_LIMIT and 0 <= es < _EXP_LIMIT and 0 <= et < _EXP_LIMIT):
+    if (eu | es | et) >> _SHIFT:
         raise ValueError(f"exponent out of range: {(eu, es, et)}")
     return eu | (es << _SHIFT) | (et << (2 * _SHIFT))
 
@@ -194,13 +200,9 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[tuple[int, int, int], Rat]] = ()):
-        acc: dict[int, Rat] = {}
-        for (eu, es, et), coeff in terms:
-            if type(coeff) is not int:  # the DP's ints skip the call
-                coeff = _canon(coeff)
-            key = _pack(eu, es, et)
-            acc[key] = acc.get(key, 0) + coeff
-        self._terms = _speedups.clean_terms(acc)
+        """Like terms are summed and zeros dropped, as by _terms_at."""
+        terms = ((0, eu, es, et, coeff) for (eu, es, et), coeff in terms)
+        self._terms = _terms_at(0, terms)._coeffs[0]._terms
 
     @classmethod
     def _raw(cls, terms: dict[int, Rat]) -> "Poly":
@@ -219,13 +221,11 @@ class Poly:
 
     @classmethod
     def constant(cls, value: Rat) -> "Poly":
-        value = _canon(value)
-        return cls._raw({0: value} if value else {})
+        return cls([((0, 0, 0), value)])
 
     @classmethod
     def monomial(cls, coeff: Rat, eu: int = 0, es: int = 0, et: int = 0) -> "Poly":
-        coeff = _canon(coeff)
-        return cls._raw({_pack(eu, es, et): coeff} if coeff else {})
+        return cls([((eu, es, et), coeff)])
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -295,23 +295,11 @@ class Poly:
         sigma: Optional[Rat] = None,
         tau: Optional[Rat] = None,
     ) -> "Poly":
-        """Evaluate some of the variables at exact rational values."""
-        for value in (u, sigma, tau):
-            require_exact(value)
+        """Evaluate some of the variables at exact rational values (see
+        _terms_at); with none given, the polynomial itself."""
         if u is None and sigma is None and tau is None:
             return self
-        acc: dict[int, Rat] = {}
-        for key, value in self._terms.items():
-            eu, es, et = _unpack(key)
-            if u is not None and eu:
-                value, eu = value * u**eu, 0
-            if sigma is not None and es:
-                value, es = value * sigma**es, 0
-            if tau is not None and et:
-                value, et = value * tau**et, 0
-            new_key = _pack(eu, es, et)
-            acc[new_key] = acc.get(new_key, 0) + value
-        return Poly._raw(_speedups.clean_terms(acc))
+        return _terms_at(0, _flat_terms((self,)), sigma, tau, u)._coeffs[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -325,6 +313,15 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _flat_terms(polys: Iterable[Poly]) -> Iterator[tuple[int, int, int, int, Rat]]:
+    """The (z power, e_u, e_s, e_t, coeff) terms of polys[n] taken at z^n."""
+    return (
+        (n, key & _MASK, key >> _SHIFT & _MASK, key >> 2 * _SHIFT, value)
+        for n, poly in enumerate(polys)
+        for key, value in poly._terms.items()
+    )
 
 
 def _nonzero(coeffs: Iterable[dict], start: int = 0) -> list[tuple[int, dict]]:
@@ -465,23 +462,12 @@ class Series:
     def from_terms(
         cls, order: int, terms: Iterable[tuple[int, int, int, int, Rat]]
     ) -> "Series":
-        """Build from (z power, e_u, e_s, e_t, coeff) tuples.
+        """Build from (z power, e_u, e_s, e_t, coeff) tuples (see _terms_at).
 
         Terms beyond the truncation order are dropped, which is what
         truncation means.
         """
-        buckets: list[dict[int, Rat]] = [{} for _ in range(order + 1)]
-        for zpow, eu, es, et, coeff in terms:
-            if zpow < 0:
-                raise ValueError("z powers must be nonnegative")
-            if zpow > order:
-                continue
-            key = _pack(eu, es, et)
-            bucket = buckets[zpow]
-            bucket[key] = bucket.get(key, 0) + _canon(coeff)
-        return cls(
-            tuple(Poly._raw(_speedups.clean_terms(b)) for b in buckets), order
-        )
+        return _terms_at(order, terms)
 
     def coefficient(self, n: int) -> Poly:
         if not 0 <= n <= self.order:
@@ -592,11 +578,11 @@ class Series:
         sigma: Optional[Rat] = None,
         tau: Optional[Rat] = None,
     ) -> "Series":
-        """Substitute exact rational values for some of u, s, t."""
-        return Series(
-            tuple(p.substitute(u=u, sigma=sigma, tau=tau) for p in self._coeffs),
-            self.order,
-        )
+        """Substitute exact rational values for some of u, s, t (see
+        _terms_at); with none given, the series itself."""
+        if u is None and sigma is None and tau is None:
+            return self
+        return _terms_at(self.order, _flat_terms(self._coeffs), sigma, tau, u)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
@@ -637,16 +623,13 @@ class Series:
 
     @classmethod
     def from_json(cls, data: dict) -> "Series":
-        order = data["order"]
-        coeffs = []
-        for entries in data["coeffs"]:
-            coeffs.append(
-                Poly(
-                    (tuple(exps), Fraction(value))  # type: ignore[misc]
-                    for exps, value in entries
-                )
-            )
-        return cls(tuple(coeffs), order)
+        coeffs = data["coeffs"]
+        terms = (
+            (n, *exps, Fraction(value))
+            for n, entries in enumerate(coeffs)
+            for exps, value in entries
+        )
+        return cls(_terms_at(len(coeffs) - 1, terms)._coeffs, data["order"])
 
     def __str__(self) -> str:
         return self.to_text()
@@ -782,15 +765,18 @@ def specialize(
 
 def _terms_at(
     order: int,
-    terms: Iterable[tuple[int, int, int, int, int]],
-    sigma: Optional[Rat],
-    tau: Optional[Rat],
+    terms: Iterable[tuple[int, int, int, int, Rat]],
+    sigma: Optional[Rat] = None,
+    tau: Optional[Rat] = None,
     u: Optional[Rat] = None,
     scale: int = 1,
 ) -> Series:
-    """The series of (z power, e_u, e_s, e_t, int coeff) terms with the
-    numeric ones of u, sigma and tau substituted, at z/scale: a z^k term is
-    multiplied by scale^k.  Terms beyond the order are dropped.
+    """The series of (z power, e_u, e_s, e_t, coeff) terms with the numeric
+    ones of u, sigma and tau substituted, at z/scale: a z^k term is
+    multiplied by scale^k.  Like terms are summed, zeros dropped, and terms
+    beyond the order dropped.  A negative z power or exponent, or an
+    exponent of 2^_SHIFT or more, raises ValueError; a coefficient that is
+    not an int or a Fraction raises TypeError.
 
     With a scale, every term must come out an integer, as it does when the
     substituted exponents in a z^k term sum to at most k and scale is a
@@ -803,21 +789,30 @@ def _terms_at(
     for zpow, eu, es, et, coeff in terms:
         if zpow > order:
             continue
-        num, den = coeff * scale**zpow, 1
+        if zpow < 0 or (eu | es | et) >> _SHIFT:
+            raise ValueError(f"exponent out of range: {(zpow, eu, es, et)}")
+        num, den = coeff, 1
+        if type(coeff) is not int:
+            coeff = _canon(coeff)
+            num, den = coeff.numerator, coeff.denominator
+        if scale != 1:
+            num *= scale**zpow
         if u is not None and eu:
             num, den, eu = num * u.numerator**eu, den * u.denominator**eu, 0
         if sigma is not None and es:
             num, den, es = num * sigma.numerator**es, den * sigma.denominator**es, 0
         if tau is not None and et:
             num, den, et = num * tau.numerator**et, den * tau.denominator**et, 0
-        if num % den == 0:
-            num //= den
-        elif scale == 1:
-            num = Fraction(num, den)
-        else:
-            raise ArithmeticError(
-                f"the z^{zpow} term of a constant leaves the integers at z/{scale}"
-            )
+        if den != 1:
+            if num % den == 0:
+                num //= den
+            elif scale == 1:
+                num = Fraction(num, den)
+            else:
+                raise ArithmeticError(
+                    f"the z^{zpow} term of a constant leaves the integers at "
+                    f"z/{scale}"
+                )
         key = eu | es << _SHIFT | et << 2 * _SHIFT
         bucket = buckets[zpow]
         bucket[key] = bucket.get(key, 0) + num
@@ -901,12 +896,11 @@ class ClosedForm:
     total is built with the object; the layers are built from it the first
     time they are read.  f: walks whose last step was U; g: empty walk or
     last step H; h: last step D; k: last step L (skew only, None
-    otherwise).  c0 is the u=0 total; boundary_values also keeps it as the
-    total's recurrence reads it, c0_at_scale = (q, the term dicts of its z^n
-    coefficients times q^n, all ints).  The divisor of f and k, kernel =
-    z*r1 - z*u with z*r1 = P - z^2*D - (s*z^2 + z^3*D)*c0, is built the
-    first time one of them is read.  At u = 0 (see boundary_values) total is
-    c0, kernel is z*r1 and the layers are the boundary values G(0), H(0), K(0).
+    otherwise).  c0 is the u=0 total, which the total's recurrence reads.
+    The divisor of f and k, kernel = z*r1 - z*u with z*r1 = P - z^2*D -
+    (s*z^2 + z^3*D)*c0, is built the first time one of them is read.  At
+    u = 0 (see boundary_values) total is c0, kernel is z*r1 and the layers
+    are the boundary values G(0), H(0), K(0).
     """
 
     variant: Variant
@@ -916,9 +910,6 @@ class ClosedForm:
     zu: Series = field(repr=False)
     sigma: Optional[Rat] = field(default=None, repr=False)
     tau: Optional[Rat] = field(default=None, repr=False)
-    c0_at_scale: Optional[tuple[int, Sequence[dict[int, int]]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @functools.cached_property
     def kernel(self) -> Series:
@@ -974,13 +965,10 @@ def boundary_values(
     if sigma is None or tau is None:  # every value lies inside +-2^(width - 3)
         width = _slot_width(variant, last, scale, sigma, tau) + last.bit_length() + 3
 
-    def packed(terms: _Terms, z_order: int) -> list[dict[int, int]]:
-        coeffs = _terms_at(z_order, terms, sigma, tau, None, scale).coefficients()
-        return [_pack_slots(c._terms, width, field) for c in coeffs]
-
+    values = (sigma, tau, None, scale)
     p, q = _constant_terms(variant)[:2]
-    delta = packed(_times(p, p) + _shifted(q, -4, 2), 6)
-    p = packed(p, 3) + [{}]
+    delta = _packed(_times(p, p) + _shifted(q, -4, 2), 6, values, width, field)
+    p = _packed(p, 3, values, width, field) + [{}]
     roots = _sqrt_terms(delta, width, last)
     # at z/q, with G0[n] = q*C0[n-1] and G0[0] = 1, C0's equation reads
     #     2q^2*s*(C0[n] - G0[n]) = P[n+2] - W[n+2] - 2a*q^2*G0[n];
@@ -989,7 +977,6 @@ def boundary_values(
     mult = 1 if sigma is None or sigma == 0 else sigma.denominator
     divisor = 2 * sq * (1 if sigma is None else sigma.numerator)
     g0_mult = 2 * a * sq * mult
-    low = (1 << width) - 1
     c0: list[dict[int, int]] = []
     g0: dict[int, int] = {0: 1}
     for m, w in enumerate(itertools.islice(roots, 2, last), 2):
@@ -1003,18 +990,14 @@ def boundary_values(
         for key, value in g0.items():
             acc[key] = acc.get(key, 0) - g0_mult * value
         acc = _divide_slots(acc, divisor, "C0", width, last)
-        if sigma is None:  # divide by s: drop the low slot
-            if any(value & low for value in acc.values()):
-                raise ArithmeticError(f"s does not divide z^{m - 2} of C0's equation")
-            acc = {key: value >> width for key, value in acc.items()}
+        if sigma is None:
+            acc = _divided_by_slot(acc, width, "s", m - 2, "C0's equation")
         for key, value in g0.items():
             acc[key] = acc.get(key, 0) + value
         c0.append(_speedups.clean_terms(acc))
         g0 = c0[-1] if scale == 1 else {k: scale * v for k, v in c0[-1].items()}
-    c0 = [_unpacked(terms, width, field) for terms in c0]
-    total = _unscaled(c0, scale)
-    zero = Series.zero(order)
-    return ClosedForm(variant, order, total, total, zero, sigma, tau, (scale, c0))
+    total = _unscaled([_unpacked(terms, width, field) for terms in c0], scale)
+    return ClosedForm(variant, order, total, total, Series.zero(order), sigma, tau)
 
 
 def kernel_zr1(
@@ -1105,13 +1088,34 @@ def _unpacked(packed: dict[int, int], width: int, field: int) -> dict[int, int]:
     return out
 
 
+def _packed(
+    terms: _Terms, order: int, values: tuple, width: int, field: int
+) -> list[dict[int, int]]:
+    """The z^0..z^order coefficients of a constant's terms, with values =
+    (sigma, tau, u, scale) put in by _terms_at, each packed by _pack_slots."""
+    coeffs = _terms_at(order, terms, *values).coefficients()
+    return [_pack_slots(c._terms, width, field) for c in coeffs]
+
+
+def _divided_by_slot(
+    terms: dict[int, int], width: int, name: str, n: int, equation: str
+) -> dict[int, int]:
+    """Values packed at 2^width divided by the packed variable, name: each
+    drops its low slot, which must be zero, else ArithmeticError names the
+    variable and the z^n coefficient of the equation."""
+    low = (1 << width) - 1
+    if any(value & low for value in terms.values()):
+        raise ArithmeticError(f"{name} does not divide z^{n} of {equation}")
+    return {key: value >> width for key, value in terms.items()}
+
+
 def _total(
     variant: Variant,
     order: int,
     sigma: Optional[Rat],
     tau: Optional[Rat],
     u: Optional[Rat],
-    c0_at_scale: tuple[int, Sequence[dict[int, int]]],
+    c0: Series,
 ) -> Series:
     """T from (P*u - Q - z*u^2)*T = u*N + (u*z^2*D - Q)*C0, for u not 0.
 
@@ -1119,48 +1123,41 @@ def _total(
     z^n coefficient less the factor's z^1..z^3 coefficients against
     T[n-1..n-3], divided by u.  Like C0, T is worked out in integers at
     z/q, q now the lcm of the denominators of sigma, tau and u, with the
-    equation multiplied by u's denominator (its z*u^2 term needs it); C0
-    comes at z/q' (q' from sigma and tau) as c0_at_scale = (q', its
-    coefficients) and is taken to z/q in integers.  A symbolic u is packed
-    (see the kernel pipeline comment): every coefficient is a dict of (s, t)
-    keys to one int, and dividing by u drops the low slot, which raises if
-    it is not zero (then C0 does not solve its equation).  A numeric u's
-    place is taken by its numerator, which must divide exactly.  Each
-    coefficient of T is unpacked and divided by q^n once, at the end.
+    equation multiplied by u's denominator (its z*u^2 term needs it).  C0's
+    term dicts are read as they are when q = 1 (all ints then), and taken to
+    z/q by _scaled otherwise.  A symbolic u is packed (see the kernel
+    pipeline comment): every coefficient is a dict of (s, t) keys to one
+    int, and dividing by u drops the low slot, which raises if it is not
+    zero (then C0 does not solve its equation).  A numeric u's place is
+    taken by its numerator, which must divide exactly.  Each coefficient of
+    T is unpacked and divided by q^n once, at the end.
     """
     scale = _value_scale(sigma, tau, u)
     r = 1 if u is None else u.denominator
     width = 0 if u is not None else _slot_width(variant, order, scale, sigma, tau)
     p, q, num, z2d = _constant_terms(variant)[:4]
 
-    def packed(terms: _Terms, start: int = 0) -> list[tuple[int, dict[int, int]]]:
-        coeffs = _terms_at(order, terms, sigma, tau, u, scale).coefficients()
-        return _nonzero((_pack_slots(c._terms, width, 0) for c in coeffs), start)
-
-    factor = packed(_shifted(p, r, 0, 1) + _shifted(q, -r, 1) + [(1, 2, 0, 0, -r)], 1)
-    times_c0 = packed(_shifted(z2d, r, 0, 1) + _shifted(q, -r, 1))
-    u_num = dict(packed(_shifted(num, r, 0, 1)))
-    c0_scale, c0 = c0_at_scale
-    ratio = scale // c0_scale  # C0 at z/q' to z/q: times ratio^n
-    if ratio != 1:
-        c0 = _scaled(c0, ratio)
-    low = (1 << width) - 1
+    values = (sigma, tau, u, scale)
+    factor = _shifted(p, r, 0, 1) + _shifted(q, -r, 1) + [(1, 2, 0, 0, -r)]
+    factor = _nonzero(_packed(factor, order, values, width, 0), 1)
+    times_c0 = _shifted(z2d, r, 0, 1) + _shifted(q, -r, 1)
+    times_c0 = _nonzero(_packed(times_c0, order, values, width, 0))
+    u_num = _packed(_shifted(num, r, 0, 1), order, values, width, 0)
+    c0_terms = [c._terms for c in c0.coefficients()]
+    if scale > 1:  # C0 at z/q, in integers
+        c0_terms = _scaled(c0_terms, scale)
     total: list[dict[int, int]] = []
     for n in range(order + 1):
-        acc = dict(u_num.get(n, ()))
-        _add_products(acc, times_c0, c0, n)
+        acc = u_num[n]
+        _add_products(acc, times_c0, c0_terms, n)
         _add_products(acc, factor, total, n, negate=True)
         acc = {key: value for key, value in acc.items() if value}
         if u is not None:
             if u.numerator != 1:
                 acc = _divide(acc, u.numerator, "T")
-        elif any(value & low for value in acc.values()):
-            raise ArithmeticError(
-                f"u does not divide z^{n} of the total's equation: "
-                "C0 does not solve its equation"
-            )
         else:
-            acc = {key: value >> width for key, value in acc.items()}
+            equation = "the total's equation: C0 does not solve its equation"
+            acc = _divided_by_slot(acc, width, "u", n, equation)
         total.append(acc)
     return _unscaled([_unpacked(terms, width, 0) for terms in total], scale)
 
@@ -1185,5 +1182,5 @@ def closed_form(
     if u == 0:
         return bnd
     zu = _terms_at(order, [(1, 1, 0, 0, 1)], sigma, tau, u)
-    total = _total(variant, order, sigma, tau, u, bnd.c0_at_scale)
+    total = _total(variant, order, sigma, tau, u, bnd.c0)
     return ClosedForm(variant, order, total, bnd.c0, zu, sigma, tau)

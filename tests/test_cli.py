@@ -19,7 +19,7 @@ from motzkin.cli import (
 )
 from motzkin.oracle import CountTable
 from motzkin.paths import Bargraph, Variant
-from motzkin.series import Series, closed_form
+from motzkin.series import Poly, Series, closed_form
 from reference_output import series_json_text, series_text
 
 MOTZKIN_12 = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798]
@@ -288,6 +288,55 @@ def test_series_value_errors_quote_a_short_prefix(capsys):
         f"error: --sigma 1/{'1' * (cli.MAX_ECHO - 2)}... exceeds the bound 2^64 "
         "on a numerator or denominator; pass --unbounded to override\n"
     )
+
+
+def test_series_value_bound_judges_long_digit_runs(capsys, monkeypatch):
+    # an integer or p/q text with more digits than Python reads from text by
+    # default is over the bound, judged by its length before any int is
+    # built, so even a text far past argv's size is refused at once
+    limit = sys.get_int_max_str_digits()
+    threes = "3" * 5000
+    with monkeypatch.context() as patch:
+        _refuse_work(patch)
+        for text in ("1" * 5000, f"1/{threes}", f"-{threes}/7", "7" * 10**6):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "series", "--order", "2", f"--u={text}")
+            assert time.perf_counter() - start < 1
+            assert (rc, out) == (2, "")
+            shown = text[: cli.MAX_ECHO] + "..."
+            assert err == (
+                f"error: --u {shown} exceeds the bound 2^64 on a numerator or "
+                "denominator; pass --unbounded to override\n"
+            )
+    # leading zeros do not count toward the length
+    rc, out, err = run(capsys, "series", "--order", "1", "--u=" + "0" * 5000 + "3")
+    assert (rc, out, err) == (0, "z^0: 1\nz^1: 4\n", "")
+    rc, out, err = run(capsys, "series", "--order", "1", f"--u=1/{'0' * 5000}3")
+    assert (rc, out, err) == (0, "z^0: 1\nz^1: 4/3\n", "")
+    # --unbounded still reads both texts
+    rc, out, err = run(
+        capsys, "series", "--unbounded", "--order", "1", f"--u=1/{threes}"
+    )
+    assert (rc, err) == (0, "")
+    assert out == f"z^0: 1\nz^1: {threes[:-1]}4/{threes}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_series_engines_differ(capsys, monkeypatch):
+    real = cli.dp_series
+
+    def wrong(order, variant, *values):
+        # one more term z^3: a fresh series, so the cached one is kept
+        return real(order, variant, *values) + Series.from_terms(
+            order, [(3, 0, 0, 0, 1)]
+        )
+
+    monkeypatch.setattr(cli, "dp_series", wrong)
+    rc, out, err = run(capsys, "series", "--order", "5", "--engine", "both")
+    closed = closed_form(Variant.PLAIN, 5).total.coefficient(3)
+    assert rc == 1
+    assert out == f"z^3: dp {closed + Poly.one()} != closed {closed}\n"
+    assert err == "engines differ first at z^3\n"
 
 
 def test_series_symbolic_text(capsys):
@@ -768,6 +817,45 @@ def test_oeis_fetch_protocol_error_degrades(capsys, monkeypatch):
     assert rc == 0
     assert "warning: fetch failed" in err and "IncompleteRead" in err
     assert "[builtin]" in out
+
+
+def test_oeis_fetch_bfile_reads_the_second_field_of_full_lines(monkeypatch):
+    import urllib.request
+
+    class Body:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            return b"# A001006 Motzkin numbers\n\n0 1\n1\n 1 1 \n2 2\n"
+
+    asked = []
+
+    def urlopen(url, timeout):
+        asked.append((url, timeout))
+        return Body()
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    assert cli.fetch_bfile("A001006") == [1, 1, 2]
+    assert asked == [("https://oeis.org/A001006/b001006.txt", cli.OEIS_TIMEOUT)]
+
+
+def test_oeis_terms_must_be_positive(capsys):
+    rc, out, err = run(capsys, "oeis", "--id", "A001006", "--terms", "0")
+    assert (rc, out) == (2, "")
+    assert "--terms must be positive" in err
+
+
+def test_oeis_fetch_without_the_embedded_prefix_fails(capsys, monkeypatch):
+    monkeypatch.setattr("motzkin.cli.fetch_bfile", lambda id, timeout=10.0: [5] * 20)
+    rc, out, _ = run(capsys, "oeis", "--id", "A001006", "--fetch")
+    assert rc == 1
+    assert out == (
+        "A001006 (all excursions): embedded prefix not found in fetched b-file\n"
+    )
 
 
 def test_import_leaves_urllib_unloaded():

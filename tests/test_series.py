@@ -83,13 +83,24 @@ def test_poly_and_series_refuse_float_coefficients():
     with pytest.raises(TypeError):
         Series.from_terms(2, [(1, 0, 0, 0, 0.25)])
     with pytest.raises(TypeError):
+        Series.from_terms(2, [(0, 0, 0, 0, 1), (2, 1, 0, 1, 1.0)])
+    with pytest.raises(TypeError):
         Poly.constant(0.5)
+    with pytest.raises(TypeError):
+        Poly.monomial(0.5, 1)
     assert Poly([((0, 0, 0), Fraction(1, 2))]) == Poly.constant(Fraction(1, 2))
 
 
 def test_poly_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Poly([((-1, 0, 0), 1)])
+    # every exponent must fit its 21-bit field of a packed key
+    for exps in ((1 << 21, 0, 0), (0, 1 << 21, 0), (0, 0, 1 << 21), (0, -1, 0)):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            Poly([(exps, 1)])
+        with pytest.raises(ValueError, match="exponent out of range"):
+            Series.from_terms(2, [(1, *exps, 1)])
+    assert Poly([(((1 << 21) - 1, 0, 0), 1)]).degrees() == ((1 << 21) - 1, 0, 0)
 
 
 def test_poly_str_formats():
@@ -288,6 +299,8 @@ def test_specialize_examples():
     assert half.coefficient(2) == poly({(0, 0, 1): Fraction(1, 4)})
     # method and function agree; None leaves a variable symbolic
     assert s.specialize(tau=0) == specialize(s, tau=0)
+    # with no value given, the series itself comes back, uncopied
+    assert s.specialize() is s and specialize(s) is s
     assert s.specialize(tau=0).coefficient(2) == Poly.zero()
 
 
@@ -1016,11 +1029,7 @@ def test_symbolic_u_rechecks_c0_at_every_order(monkeypatch):
     coeffs = list(bnd.c0.coefficients())
     coeffs[7] = coeffs[7] + poly({(0, 1, 2): 1})  # one term off
     wrong = Series(coeffs, 12)
-    # the same wrong C0 as the total's recurrence reads it, in integers
-    c0_at_scale = (1, [c._terms for c in wrong.coefficients()])
-    broken = series_module.ClosedForm(
-        Variant.SKEW, 12, wrong, wrong, bnd.zu, c0_at_scale=c0_at_scale
-    )
+    broken = series_module.ClosedForm(Variant.SKEW, 12, wrong, wrong, bnd.zu)
     monkeypatch.setattr(series_module, "boundary_values", lambda *args: broken)
     closed_form.cache_clear()
     with pytest.raises(ArithmeticError, match="z\\^8"):
