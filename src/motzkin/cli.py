@@ -277,23 +277,46 @@ def run_checks(variant: Variant, max_n: int) -> list[CheckResult]:
 # subcommands
 
 
+def _without_neutral_zeros(text: str) -> str:
+    """text less the zeros that do not change its value: the trailing zeros
+    of a decimal's fractional part, and the trailing zeros shared by p and q
+    in p/q.  Only a text Fraction reads is changed, with its runs' underscores
+    dropped; it reads to the same value, and each run keeps a digit."""
+    run = r"\d+(?:_\d+)*"  # a digit run as Fraction reads one
+    if "." in text:
+        decimal = rf"\s*[-+]?(?:\d*|{run})\.({run})(?:[eE][-+]?{run})?\s*"
+        if m := re.fullmatch(decimal, text):
+            digits = m[1].replace("_", "").rstrip("0") or "0"
+            return text[: m.start(1)] + digits + text[m.end(1) :]
+    if "/" in text:
+        if m := re.fullmatch(rf"\s*[-+]?({run})/({run})\s*", text):
+            p, q = (g.replace("_", "") for g in m.groups())
+            zeros = (len(p) - len(p.rstrip("0")), len(q) - len(q.rstrip("0")))
+            if k := min(*zeros, len(p) - 1, len(q) - 1):
+                return f"{text[: m.start(1)]}{p[:-k]}/{q[:-k]}{text[m.end(2) :]}"
+    return text
+
+
 def _parse_value(text: str, flag: str, unbounded: bool) -> Optional[Rat]:
     """A rational value, as an int when it is integral, or None for 'sym'.
 
     Unless unbounded, a numerator or denominator of 2^MAX_VALUE_BITS or more
     is refused, before any work and without building it.  A digit run longer
-    than Python's default limit on int-from-text conversion (leading zeros
-    do not count, except after a decimal point, where they scale) is refused
-    as written; its text is read with every run cut to one digit, only to
-    tell a number from a typo.  Then m*10^x with m != 0 written in at most
-    len(text) digits has one of at least 10^20 once |x| exceeds len(text) +
-    20, so only the mantissa of such a text is read.  No int of more digits
-    than that limit is built, so the text is read with the limit lifted.
-    An error message quotes at most the first MAX_ECHO characters of text.
+    than Python's default limit on int-from-text conversion is refused as
+    written, once the zeros that leave the value as it is are dropped
+    (_without_neutral_zeros): leading zeros do not count either, except
+    after a decimal point, where they scale.  The text of a refused run is
+    read with every run cut to one digit, only to tell a number from a typo.
+    Then m*10^x with m != 0 written in at most len(text) digits has one of
+    at least 10^20 once |x| exceeds len(text) + 20, so only the mantissa of
+    such a text is read.  No int of more digits than that limit is built, so
+    the text is read with the limit lifted.  An error message quotes at most
+    the first MAX_ECHO characters of text as given.
     """
     if text == "sym":
         return None
     shown = text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
+    text = _without_neutral_zeros(text)
     runs = re.findall(r"(\.?)([\d_]+)", text)
     digits = max((len(r if dot else r.lstrip("0_")) for dot, r in runs), default=0)
     if long := digits > sys.int_info.default_max_str_digits and not unbounded:

@@ -16,7 +16,11 @@ integers and one way out: the operands are cleared by one common
 denominator d (_cleared) and, where a recurrence divides, taken to z/c
 (_scaled); the work runs on ints, and _unscaled divides each z^n
 coefficient by d*c^n once, at the end.  The division runs at c = the
-divisor's cleared constant term, the root at c = 4q.
+divisor's cleared constant term, the root at c = 4q.  Every writer
+(to_text, to_json_text, str(Poly), Poly.terms()) lists a coefficient's
+terms by ascending total degree, then descending exponents of u, s and t,
+in the order _display_order ranks an answer's distinct monomials in, once
+per call.
 
 The second half of the module is the generating-function pipeline.  Its
 constants depend on the variant only through a = 1 (plain) or 2 (skew): with
@@ -126,21 +130,24 @@ def require_exact(value: Optional[Rat]) -> None:
         raise TypeError(f"values must be int or Fraction, got {type(value)!r}")
 
 
-def _display_key(key: int) -> int:
-    # ascending total degree, then descending lexicographic with u > s > t:
-    # every field fits in _SHIFT bits, so one int orders like the tuple
-    # (degree, -e_u, -e_s, -e_t)
-    eu, es, et = _unpack(key)
-    return (
-        ((eu + es + et) << (3 * _SHIFT))
-        | ((_MASK - eu) << (2 * _SHIFT))
-        | ((_MASK - es) << _SHIFT)
-        | (_MASK - et)
-    )
+def _display_order(polys: Iterable[Poly]) -> dict[int, int]:
+    """{packed key: rank} of the monomials the polys hold, ranked once in
+    display order: ascending total degree, then descending e_u, e_s, e_t.
+    The dict runs in rank order, and a poly's terms in display order are
+    sorted(terms, key=rank.__getitem__), a sort of small ints.  Nothing is
+    kept between calls."""
+
+    def degree_then_descending(key: int) -> tuple[int, int, int, int]:
+        eu, es, et = key & _MASK, key >> _SHIFT & _MASK, key >> 2 * _SHIFT
+        return eu + es + et, -eu, -es, -et
+
+    keys = set().union(*[poly._terms for poly in polys])
+    return {key: r for r, key in enumerate(sorted(keys, key=degree_then_descending))}
 
 
-def _display_entry(key: int) -> tuple[int, str, str]:
-    """Sort key, monomial text and JSON exponent block of a packed key."""
+def _monomial(key: int) -> str:
+    """The text of a packed monomial, u^a*s^b*t^c, with no factor of
+    exponent 0 and no ^1 ("" for the monomial 1)."""
     eu, es, et = _unpack(key)
     names = []
     if eu:
@@ -149,36 +156,17 @@ def _display_entry(key: int) -> tuple[int, str, str]:
         names.append("s" if es == 1 else f"s^{es}")
     if et:
         names.append("t" if et == 1 else f"t^{et}")
-    # the layout json.dumps(..., indent=2) gives a term of Series.to_json
-    block = (
-        f"      [\n        [\n          {eu},\n          {es},\n"
-        f'          {et}\n        ],\n        "'
-    )
-    return _display_key(key), "*".join(names), block
+    return "*".join(names)
 
 
-def _display_rows(polys: Iterable[Poly]):
-    """Each poly's terms in display order, as (sort key, monomial text,
-    JSON exponent block, value) rows.
-
-    A memo local to the call formats each packed key once, however many of
-    the polys hold it.
-    """
-    memo: dict[int, tuple[int, str, str]] = {}
-    for poly in polys:
-        terms = poly._terms
-        for key in terms.keys() - memo.keys():
-            memo[key] = _display_entry(key)
-        rows = [(*memo[key], value) for key, value in terms.items()]
-        rows.sort()  # sort keys are distinct, so values are never compared
-        yield rows
-
-
-def _poly_text(rows) -> str:
-    if not rows:
+def _poly_text(terms: dict[int, Rat], rank: dict[int, int], monos: list[str]) -> str:
+    """The text of a term dict, its monomials written as monos[rank]."""
+    if not terms:
         return "0"
     parts = []
-    for _, mono, _, value in rows:
+    for key in sorted(terms, key=rank.__getitem__):
+        value = terms[key]
+        mono = monos[rank[key]]
         if value.numerator < 0:  # int or Fraction; skips Fraction.__lt__
             parts.append(" - ")
             value = -value
@@ -243,8 +231,7 @@ class Poly:
 
     def terms(self) -> list[tuple[tuple[int, int, int], Rat]]:
         """Terms in display order (degree, then u > s > t descending)."""
-        keys = sorted(self._terms, key=_display_key)
-        return [(_unpack(key), self._terms[key]) for key in keys]
+        return [(_unpack(key), self._terms[key]) for key in _display_order((self,))]
 
     def degrees(self) -> tuple[int, int, int]:
         """Maximum exponent of u, s, t (0, 0, 0 for the zero polynomial)."""
@@ -309,7 +296,8 @@ class Poly:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        return _poly_text(next(_display_rows((self,))))
+        rank = _display_order((self,))
+        return _poly_text(self._terms, rank, list(map(_monomial, rank)))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -592,23 +580,34 @@ class Series:
     __hash__ = None  # type: ignore[assignment]
 
     def to_text(self) -> str:
+        rank = _display_order(self._coeffs)
+        monos = list(map(_monomial, rank))
         return "\n".join(
-            f"z^{n}: {_poly_text(rows)}"
-            for n, rows in enumerate(_display_rows(self._coeffs))
+            f"z^{n}: {_poly_text(p._terms, rank, monos)}"
+            for n, p in enumerate(self._coeffs)
         )
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json(), indent=2), written without building
         the nested lists."""
+        rank = _display_order(self._coeffs)
+        # the layout json.dumps(..., indent=2) gives a term of to_json
+        heads = [
+            f"      [\n        [\n          {eu},\n          {es},\n"
+            f'          {et}\n        ],\n        "'
+            for eu, es, et in map(_unpack, rank)
+        ]
         blocks = []
-        for rows in _display_rows(self._coeffs):
-            if not rows:
+        for poly in self._coeffs:
+            terms = poly._terms
+            if not terms:
                 blocks.append("    []")
                 continue
-            terms = ",\n".join(
-                f'{block}{value}"\n      ]' for _, _, block, value in rows
+            rows = ",\n".join(
+                f'{heads[rank[key]]}{terms[key]}"\n      ]'
+                for key in sorted(terms, key=rank.__getitem__)
             )
-            blocks.append(f"    [\n{terms}\n    ]")
+            blocks.append(f"    [\n{rows}\n    ]")
         coeffs = ",\n".join(blocks)
         return f'{{\n  "order": {self.order},\n  "coeffs": [\n{coeffs}\n  ]\n}}'
 
@@ -785,6 +784,12 @@ def _terms_at(
     """
     for value in (u, sigma, tau):
         require_exact(value)
+    # each value's numerator and denominator, read once (None: symbolic); a
+    # denominator of 1 is never multiplied in
+    (un, ud), (sn, sd), (tn, td) = (
+        (None, 1) if value is None else (value.numerator, value.denominator)
+        for value in (u, sigma, tau)
+    )
     buckets: list[dict[int, Rat]] = [{} for _ in range(order + 1)]
     for zpow, eu, es, et, coeff in terms:
         if zpow > order:
@@ -797,12 +802,21 @@ def _terms_at(
             num, den = coeff.numerator, coeff.denominator
         if scale != 1:
             num *= scale**zpow
-        if u is not None and eu:
-            num, den, eu = num * u.numerator**eu, den * u.denominator**eu, 0
-        if sigma is not None and es:
-            num, den, es = num * sigma.numerator**es, den * sigma.denominator**es, 0
-        if tau is not None and et:
-            num, den, et = num * tau.numerator**et, den * tau.denominator**et, 0
+        if un is not None and eu:
+            num *= un**eu
+            if ud != 1:
+                den *= ud**eu
+            eu = 0
+        if sn is not None and es:
+            num *= sn**es
+            if sd != 1:
+                den *= sd**es
+            es = 0
+        if tn is not None and et:
+            num *= tn**et
+            if td != 1:
+                den *= td**et
+            et = 0
         if den != 1:
             if num % den == 0:
                 num //= den

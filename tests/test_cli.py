@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -320,6 +321,36 @@ def test_series_value_bound_judges_long_digit_runs(capsys, monkeypatch):
     assert (rc, err) == (0, "")
     assert out == f"z^0: 1\nz^1: {threes[:-1]}4/{threes}\n"
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_series_value_bound_drops_zeros_that_keep_the_value(capsys, monkeypatch):
+    # zeros that leave the value as it is do not count toward a digit run's
+    # length: a decimal's trailing zeros, and the trailing zeros p and q
+    # share in p/q.  With the int-from-text limit kept on, the texts still
+    # read, so no int past the limit is built on the way
+    zeros = "0" * 4999
+    texts = {
+        f"2{zeros}/1{zeros}": "2",
+        f"1.5{zeros}0": "3/2",
+        f"-1_5{zeros}/1_0{zeros}": "-3/2",
+        f"0.2{zeros}e1": "2",
+    }
+
+    def limit_kept_on(unbounded):
+        return contextlib.nullcontext()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_int_text_unlimited", limit_kept_on)
+        for text, value in texts.items():
+            rc, out, err = run(capsys, "series", "--order", "3", f"--u={text}")
+            assert (rc, err) == (0, "")
+            assert out == run(capsys, "series", "--order", "3", f"--u={value}")[1]
+    # a run of more than the limit once those zeros are dropped is refused
+    long_run = "1" * 5000
+    for text in (f"{long_run}0/10", f"1.{long_run}0", f"3{zeros}/1{zeros}1"):
+        rc, out, err = run(capsys, "series", "--order", "2", f"--u={text}")
+        assert (rc, out) == (2, "")
+        assert "exceeds the bound 2^64" in err
 
 
 def test_series_engines_differ(capsys, monkeypatch):

@@ -4,10 +4,11 @@ Examples are derandomized (a fixed stream per test) and no example database
 is kept, so every run checks the same cases.
 """
 
+import json
 from fractions import Fraction
 from itertools import accumulate
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkin.automata import Layer, build_automaton, dp_series, run
@@ -25,7 +26,7 @@ from motzkin.paths import (
 from motzkin.series import Poly, Series, closed_form
 import reference_kernel
 from reference_oracle import enumerate_paths as reference_paths
-from reference_output import series_json_text, series_text
+from reference_output import poly_text, series_json_text, series_text, sorted_terms
 
 derandomized = settings(
     derandomize=True, database=None, deadline=None, max_examples=60
@@ -53,10 +54,12 @@ units = st.builds(
 
 values = st.none() | rationals
 
-# ints and Fractions of both signs, exponents 0 to 3
+# ints and Fractions of both signs; exponents 0 to 3 and the largest a key
+# holds, 2^21 - 1
 coefficients = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.integers(2, 5))
+output_exponent = st.sampled_from([0, 1, 2, 3, 2**21 - 1])
 output_polys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(output_exponent, output_exponent, output_exponent),
     coefficients,
     max_size=6,
 ).map(lambda terms: Poly(list(terms.items())))
@@ -64,10 +67,18 @@ output_polys = st.dictionaries(
 
 @derandomized
 @given(st.lists(output_polys, min_size=1, max_size=6))
+@example([Poly([((1, 0, 2), -1)]), Poly(), Poly([((0, 0, 0), Fraction(1, 2))])])
 def test_series_output_is_the_reference_bytes(coeffs):
     s = Series(coeffs)
     assert s.to_text() == series_text(s)
     assert s.to_json_text() == series_json_text(s)
+    lines = s.to_text().split("\n")
+    entries = json.loads(s.to_json_text())["coeffs"]
+    for n, p in enumerate(coeffs):
+        assert str(p) == poly_text(p)
+        assert p.terms() == sorted_terms(p)
+        if p.is_zero():
+            assert (lines[n], entries[n]) == (f"z^{n}: 0", [])
 
 
 # The Series ring laws.  Each operand draws its own truncation order, and a
