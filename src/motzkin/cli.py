@@ -2,7 +2,8 @@
 conversion, consistency checking, and comparison against published integer
 sequence prefixes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure or a closed stdout, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -38,8 +40,8 @@ CHECK_MAX_N = {Variant.PLAIN: 14, Variant.SKEW: 12}
 MAX_COUNT_LEN = 60
 
 # `series` works and prints in time and memory that grow about as the fourth
-# power of the order; at order 60 the symbolic closed form, the slower
-# engine, takes about 0.3 s and the text runs to 6.6 MB
+# power of the order; at order 60 the symbolic closed form takes about
+# 0.15-0.25 s and the text runs to 6.4-6.6 MB, written in about 0.2-0.35 s
 MAX_SERIES_ORDER = 60
 
 # `series` refuses a value whose numerator or denominator has more bits.  Up
@@ -566,17 +568,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="motzkin",
-        description=(
-            "Exact counting and generating functions for Motzkin meanders "
-            "and excursions, plain and skew, refined by UD and DU factors."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="table of counts by (end level, #UD, #DU)")
+def _count_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=["plain", "skew"], default="plain")
     p.add_argument("--n", type=int, required=True, help="walk length")
     p.add_argument("--end-level", type=int, default=None)
@@ -585,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"allow --n beyond {MAX_COUNT_LEN}")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("series", help="truncated generating function")
+
+def _series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=["plain", "skew"], default="plain")
     p.add_argument("--order", type=int, default=None,
                    help="truncation order (default MOTZKIN_ORDER or 24)")
@@ -598,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"allow an order beyond {MAX_SERIES_ORDER}")
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("paths", help="list walks of a given length")
+
+def _paths_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=["plain", "skew"], default="plain")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="path_class", default="all",
@@ -613,23 +607,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"allow --n beyond {MAX_PATH_LEN}")
     p.set_defaults(func=cmd_paths)
 
-    p = sub.add_parser("bargraph", help="convert between paths and bargraphs")
+
+def _bargraph_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--path", help="cornerless excursion word")
     group.add_argument("--columns", help="comma-separated column heights")
     p.set_defaults(func=cmd_bargraph)
 
-    p = sub.add_parser("check", help="run the consistency suites")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=["plain", "skew", "both"], default="both")
     p.add_argument("--max-n", type=int, default=None,
                    help="cap (plain <= 14, skew <= 12; default = cap)")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
-        "oeis",
-        help="compare a specialization against a known sequence",
-        epilog=f"Note: {SIGMA_TAU_NOTE}",
-    )
+
+def _oeis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--id", required=True, help="sequence id, e.g. A001006")
     p.add_argument("--terms", type=int, default=None,
                    help="number of terms to compare")
@@ -637,26 +630,77 @@ def build_parser() -> argparse.ArgumentParser:
                    help="download the b-file for longer comparisons")
     p.set_defaults(func=cmd_oeis)
 
+
+# each command once: name -> (help, epilog, what adds its arguments and func)
+_COMMANDS = {
+    "count": ("table of counts by (end level, #UD, #DU)", None, _count_args),
+    "series": ("truncated generating function", None, _series_args),
+    "paths": ("list walks of a given length", None, _paths_args),
+    "bargraph": ("convert between paths and bargraphs", None, _bargraph_args),
+    "check": ("run the consistency suites", None, _check_args),
+    "oeis": (
+        "compare a specialization against a known sequence",
+        f"Note: {SIGMA_TAU_NOTE}",
+        _oeis_args,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="motzkin",
+        description=(
+            "Exact counting and generating functions for Motzkin meanders "
+            "and excursions, plain and skew, refined by UD and DU factors."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, epilog, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=summary, epilog=epilog))
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import, and kept: parse_args fills a
-    # fresh namespace from the defaults every time, so calls share nothing
-    return build_parser()
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The whole parser, or with a command the one that parses its
+    arguments, as the whole parser's subparser for it would.
+
+    Built on the first call, not at import, and kept: parse_args fills a
+    fresh namespace from the defaults every time, so calls share nothing.
+    """
+    if command is None:
+        return build_parser()
+    _, epilog, add_args = _COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"motzkin {command}", epilog=epilog)
+    add_args(parser)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            # only the named command's parser is built; what it leaves over
+            # is reported by the whole parser, as parse_args would
+            args, extra = _parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader gone by now is caught below, not at exit
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes nowhere, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAIL
+    return status
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -942,6 +943,61 @@ def test_oeis_help_documents_label_caveat(capsys):
     assert "valleys" in out and "peaks" in out
 
 
+def test_command_parser_helps_as_the_whole_parser_does():
+    (sub,) = (
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(sub.choices) == sorted(cli._COMMANDS)
+    for name, whole in sub.choices.items():
+        assert cli._parser(name).format_help() == whole.format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("-h",),
+    ("bogus",),
+    ("series", "--bogus"),
+    ("series", "--order", "x"),
+    ("series", "--variant", "sk"),
+    ("series", "--u", "-1/2"),
+    ("series", "--ord", "3"),
+    ("series", "--", "--order"),
+    ("count",),
+    ("paths", "--list", "--count-only"),
+    ("bargraph",),
+    ("oeis", "--help"),
+])
+def test_main_answers_as_the_whole_parser_does(capsys, argv):
+    # main builds only the named command's parser; what it prints, help and
+    # errors alike, is what parsing with the whole parser prints
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        rc = int(exc.code or 0)
+    else:
+        rc = args.func(args)
+    captured = capsys.readouterr()
+    assert run(capsys, *argv) == (rc, captured.out, captured.err)
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # as `motzkin series --order 40 | head -1`: the reader leaves after one
+    # line, while the megabytes of the series are still being written
+    src = str(Path(motzkin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "motzkin.cli", "series", "--order", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline() == b"z^0: 1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
+
+
 def test_main_back_to_back_matches_separate_calls(capsys, monkeypatch):
     # one parser serves every call of a process; a call must not see the
     # options, errors or defaults of the one before it
@@ -965,7 +1021,10 @@ def test_main_back_to_back_matches_separate_calls(capsys, monkeypatch):
         separate.append(run(capsys, *argv))
     cli._parser.cache_clear()
     together = [run(capsys, *argv) for argv in calls]
-    assert cli._parser.cache_info().misses == 1
+    # one parser per command named (all six), and the whole one for bogus
+    assert cli._parser.cache_info().misses == 6 + 1
+    assert [run(capsys, *argv) for argv in calls] == together
+    assert cli._parser.cache_info().misses == 6 + 1
     assert together == separate
     assert [rc for rc, _, _ in together] == [0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]
     # --order and --u set in the first call are back to their defaults

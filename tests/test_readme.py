@@ -1,13 +1,17 @@
-"""The library example in README.md runs as written.
+"""The library and command line examples in README.md run as written.
 
 Its asserts hold, and each ``print(...)`` line writes what the comment
-beside it says, so the example stays true as the API moves.
+beside it says, so the example stays true as the API moves.  Each command
+line exits 0, and writes what a ``# -> ...`` comment beside it says.
 """
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from motzkin import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +28,21 @@ def test_readme_library_example_runs():
         exec(compile(code, str(README), "exec"), {})
     assert expected
     assert out.getvalue().splitlines() == expected
+
+
+def test_readme_command_examples_run(capsys):
+    (block,) = re.findall(
+        r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S
+    )
+    lines = block.splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        command, _, comment = line.partition("#")
+        name, *argv = shlex.split(command)
+        assert name == "motzkin"
+        assert cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        if comment.strip().startswith("->"):
+            assert comment.strip()[2:].strip() in out, line
+        if "--engine both" in command:
+            assert out == "", line  # silent when equal
