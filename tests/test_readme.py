@@ -35,14 +35,14 @@ def test_readme_command_examples_run(capsys):
         r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S
     )
     lines = block.splitlines()
-    assert len(lines) == 8
+    assert lines
     for line in lines:
         command, _, comment = line.partition("#")
         name, *argv = shlex.split(command)
         assert name == "motzkin"
         assert cli.main(argv) == 0, line
         out = capsys.readouterr().out
-        if comment.strip().startswith("->"):
-            assert comment.strip()[2:].strip() in out, line
+        if (note := comment.strip()).startswith("->"):
+            assert note[2:].strip() in out, line
         if "--engine both" in command:
             assert out == "", line  # silent when equal
