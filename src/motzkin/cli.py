@@ -192,20 +192,20 @@ class CheckResult:
 
 def check_oracle_vs_dp(variant: Variant, max_n: int) -> CheckResult:
     name = f"oracle-vs-dp ({variant.value}, n <= {max_n})"
-    oracle_entries = count_table(max_n, variant).entries
-    dp_entries = dp_count(max_n, variant).entries
-    keys = sorted(set(oracle_entries) | set(dp_entries))
-    for key in keys:
-        a = oracle_entries.get(key, 0)
-        b = dp_entries.get(key, 0)
-        if a != b:
-            n, j, ud, du = key
-            return CheckResult(
-                name, False, len(keys),
-                f"first mismatch at (n={n}, j={j}, ud={ud}, du={du}): "
-                f"oracle={a}, dp={b}",
-            )
-    return CheckResult(name, True, len(keys))
+    oracle = count_table(max_n, variant).entries
+    dp = dp_count(max_n, variant).entries
+    keys = oracle.keys() | dp.keys()
+    # a key missing from one table counts 0 there; the keys are walked only
+    # when the tables differ
+    wrong = oracle != dp and [k for k in keys if oracle.get(k, 0) != dp.get(k, 0)]
+    if not wrong:
+        return CheckResult(name, True, len(keys))
+    n, j, ud, du = first = min(wrong)
+    return CheckResult(
+        name, False, len(keys),
+        f"first mismatch at (n={n}, j={j}, ud={ud}, du={du}): "
+        f"oracle={oracle.get(first, 0)}, dp={dp.get(first, 0)}",
+    )
 
 
 def check_series_engines(variant: Variant, order: int) -> CheckResult:
@@ -235,10 +235,12 @@ def check_bijection_roundtrip(max_len: int) -> CheckResult:
         for word in enumerate_paths(
             n, Variant.PLAIN,
             forbid_ud=True, forbid_du=True, excursions_only=True,
-            allow_large=True,
         ):
             words += 1
-            back = from_bargraph_or_empty(to_bargraph(word))
+            graph = to_bargraph(word)
+            # the empty word's image is the empty bargraph, which has no
+            # preimage of its own
+            back = from_bargraph(graph) if graph.columns else PathWord("")
             if back != word:
                 return CheckResult(
                     name, False, words,
@@ -257,12 +259,6 @@ def check_bijection_roundtrip(max_len: int) -> CheckResult:
     return CheckResult(
         name, True, words + graphs, f"{words} words, {graphs} bargraphs"
     )
-
-
-def from_bargraph_or_empty(graph: Bargraph) -> PathWord:
-    if not graph.columns:
-        return PathWord("")
-    return from_bargraph(graph)
 
 
 def run_checks(variant: Variant, max_n: int) -> list[CheckResult]:
@@ -363,12 +359,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         }
     if args.format == "json":
         print(table.to_json())
-    elif args.format == "csv":
-        sys.stdout.write(table.to_csv())
     else:
-        print("n j ud du count")
-        for row in table.rows():
-            print(" ".join(str(x) for x in row))
+        sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_text(" "))
     return OK
 
 
@@ -508,47 +500,43 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     if not matches:
         known = ", ".join(sorted({a.id for a in ANCHORS if a.id}))
         raise ValueError(f"unknown id {args.id!r}; known ids: {known}")
+    if args.terms is not None and args.terms < 1:
+        raise ValueError("--terms must be positive")
+    # one b-file per id, however many anchors share it
+    fetched = None
+    if args.fetch:
+        try:
+            fetched = fetch_bfile(args.id)
+        except (OSError, ValueError) as exc:
+            print(
+                f"warning: fetch failed ({exc}); comparing embedded terms only",
+                file=sys.stderr,
+            )
     status = OK
     for anchor in matches:
-        embedded = list(anchor.terms)
-        count = args.terms if args.terms is not None else len(embedded)
-        if count < 1:
-            raise ValueError("--terms must be positive")
-        reference = embedded
-        provenance = "builtin"
-        start = 0
-        if args.fetch:
-            try:
-                fetched = fetch_bfile(args.id)
-            except (OSError, ValueError) as exc:
-                print(
-                    f"warning: fetch failed ({exc}); comparing embedded terms only",
-                    file=sys.stderr,
-                )
-            else:
-                aligned = align_terms(fetched, embedded)
-                if aligned is None:
-                    print(
-                        f"{args.id} ({anchor.label}): embedded prefix not "
-                        "found in fetched b-file"
-                    )
-                    status = FAIL
-                    continue
-                reference = fetched[aligned:]
-                provenance = "fetched"
-                start = aligned
-        if count > len(reference):
-            if provenance == "builtin":
+        count = args.terms or len(anchor.terms)
+        if fetched is None:
+            reference, tag = anchor.terms, "builtin"
+            if count > len(reference):
                 raise ValueError(
                     f"only {len(reference)} embedded terms for {args.id}; "
                     "pass --fetch for longer comparisons"
                 )
-            count = len(reference)
+        else:
+            start = align_terms(fetched, anchor.terms)
+            if start is None:
+                print(
+                    f"{args.id} ({anchor.label}): embedded prefix not "
+                    "found in fetched b-file"
+                )
+                status = FAIL
+                continue
+            reference = fetched[start:]
+            tag = f"fetched, aligned at index {start}" if start else "fetched"
+            count = min(count, len(reference))
         computed = anchor_computed_terms(anchor, count)
-        expected = reference[:count]
-        tag = provenance if start == 0 else f"{provenance}, aligned at index {start}"
         divergence = next(
-            (i for i, (a, b) in enumerate(zip(computed, expected)) if a != b),
+            (i for i, (a, b) in enumerate(zip(computed, reference)) if a != b),
             None,
         )
         if divergence is None:
@@ -558,7 +546,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
             print(
                 f"{args.id} ({anchor.label}): first divergence at term "
                 f"{divergence}: computed {computed[divergence]}, "
-                f"reference {expected[divergence]} [{tag}]"
+                f"reference {reference[divergence]} [{tag}]"
             )
             status = FAIL
     return status

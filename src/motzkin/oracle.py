@@ -8,8 +8,6 @@ both.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from typing import Iterator
@@ -54,12 +52,13 @@ class CountTable:
     def to_json(self) -> str:
         return json.dumps(self.to_json_rows(), indent=2)
 
+    def to_text(self, sep: str) -> str:
+        """A header line, then one line per row, the fields joined by sep."""
+        rows = [("n", "j", "ud", "du", "count"), *self.rows()]
+        return "".join(sep.join(map(str, row)) + "\n" for row in rows)
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "j", "ud", "du", "count"])
-        writer.writerows(self.rows())
-        return buf.getvalue()
+        return self.to_text(",")
 
     @classmethod
     def from_json_rows(

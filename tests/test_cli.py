@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from motzkin.cli import (
     anchors_for,
     main,
 )
+from motzkin.automata import dp_count
 from motzkin.oracle import CountTable
 from motzkin.paths import Bargraph, Variant
 from motzkin.series import Poly, Series, closed_form
@@ -89,6 +92,27 @@ def test_count_csv(capsys):
         "2,1,0,0,2",
         "2,2,0,0,1",
     ]
+
+
+def _csv_rows(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "j", "ud", "du", "count"])
+    writer.writerows(table.rows())
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_count_rows_match_the_csv_module(capsys, variant):
+    # csv.writer is the reference for both row writers of `count`
+    for n in range(13):
+        for last_only in (False, True):
+            table = dp_count(n, variant, last_only=last_only)
+            assert table.to_csv() == _csv_rows(table)
+        rc, out, err = run(capsys, "count", "--variant", variant.value, "--n", str(n))
+        assert (rc, err) == (0, "")
+        last = dp_count(n, variant, last_only=True)
+        assert out == _csv_rows(last).replace(",", " ")
 
 
 def test_count_bad_n(capsys):
@@ -674,21 +698,25 @@ def test_check_fails_on_a_wrong_bargraph_image(capsys, monkeypatch, letters, lin
 
 def test_check_fails_on_a_wrong_dp_count(capsys, monkeypatch):
     real = cli.dp_count
+    for wrong, compared in [
+        ({(2, 0, 1, 0): 2}, 26),  # the word UD counted twice
+        # and a key no word of length 4 has (it ends at level 4 with two UD
+        # factors), larger than the first and held by the DP alone: the line
+        # names the smallest differing key and counts the union of the keys
+        ({(4, 4, 2, 2): 7, (2, 0, 1, 0): 2}, 27),
+    ]:
+        def wrong_once(n_max, variant, wrong=wrong, **kw):
+            table = real(n_max, variant, **kw)
+            return CountTable(variant, n_max, {**table.entries, **wrong})
 
-    def wrong_once(n_max, variant, **kw):
-        table = real(n_max, variant, **kw)
-        entries = dict(table.entries)
-        entries[(2, 0, 1, 0)] += 1  # the word UD
-        return CountTable(variant, n_max, entries)
-
-    monkeypatch.setattr(cli, "dp_count", wrong_once)
-    rc, lines = _check_output(capsys, "--max-n", "4")
-    assert rc == 1
-    assert lines[0] == (
-        "oracle-vs-dp (plain, n <= 4): 26 compared: FAIL "
-        "(first mismatch at (n=2, j=0, ud=1, du=0): oracle=1, dp=2)"
-    )
-    assert ": PASS" in lines[1] and ": PASS" in lines[2]
+        monkeypatch.setattr(cli, "dp_count", wrong_once)
+        rc, lines = _check_output(capsys, "--max-n", "4")
+        assert rc == 1
+        assert lines[0] == (
+            f"oracle-vs-dp (plain, n <= 4): {compared} compared: FAIL "
+            "(first mismatch at (n=2, j=0, ud=1, du=0): oracle=1, dp=2)"
+        )
+        assert ": PASS" in lines[1] and ": PASS" in lines[2]
 
 
 def test_check_fails_on_a_wrong_dp_series(capsys, monkeypatch):
@@ -830,6 +858,37 @@ def test_oeis_fetch_failure_degrades(capsys, monkeypatch):
     assert "[builtin]" in out
 
 
+def test_oeis_shared_id_fetches_once(capsys, monkeypatch):
+    # A004148 has two anchors, which share one b-file
+    calls = []
+
+    def fetch(id, timeout=10.0):
+        calls.append(id)
+        return [1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423]
+
+    monkeypatch.setattr("motzkin.cli.fetch_bfile", fetch)
+    rc, out, err = run(capsys, "oeis", "--id", "A004148", "--fetch")
+    assert (rc, err, calls) == (0, "", ["A004148"])
+    assert out.splitlines() == [
+        "A004148 (valleyless excursions): match on 1,1,2,4,8,17,37,82 "
+        "[fetched, aligned at index 1]",
+        "A004148 (peakless excursions): match on 1,1,1,2,4,8,17,37 [fetched]",
+    ]
+
+    def boom(id, timeout=10.0):
+        calls.append(id)
+        raise OSError("no route to host")
+
+    calls.clear()
+    monkeypatch.setattr("motzkin.cli.fetch_bfile", boom)
+    rc, out, err = run(capsys, "oeis", "--id", "A004148", "--fetch")
+    assert (rc, calls) == (0, ["A004148"])
+    assert err == (
+        "warning: fetch failed (no route to host); comparing embedded terms only\n"
+    )
+    assert [line.endswith("[builtin]") for line in out.splitlines()] == [True, True]
+
+
 def test_oeis_fetch_protocol_error_degrades(capsys, monkeypatch):
     import http.client
     import urllib.request
@@ -891,15 +950,19 @@ def test_oeis_fetch_without_the_embedded_prefix_fails(capsys, monkeypatch):
 
 
 def test_import_leaves_urllib_unloaded():
-    # a fresh interpreter: only `oeis --fetch` needs the network stack
-    code = "import sys, motzkin.cli; print('urllib.request' in sys.modules)"
+    # a fresh interpreter: only `oeis --fetch` needs the network stack, and
+    # no command needs the csv module
+    code = (
+        "import sys, motzkin.cli; "
+        "print('urllib.request' in sys.modules, 'csv' in sys.modules)"
+    )
     src = str(Path(motzkin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True,
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_align_terms():
