@@ -26,7 +26,15 @@ from .oracle import (
     enumerate_bargraphs,
     enumerate_paths,
 )
-from .paths import Bargraph, PathWord, Variant, from_bargraph, to_bargraph
+from .paths import (
+    Bargraph,
+    PathWord,
+    Variant,
+    columns_to_letters,
+    from_bargraph,
+    letters_to_columns,
+    to_bargraph,
+)
 from .series import Rat, closed_form, default_order
 
 OK = 0
@@ -58,6 +66,11 @@ MAX_ECHO = 40
 # `bargraph --columns` prints a path whose length grows with the heights,
 # not with the argument's size, so that length is bounded before the walk
 MAX_BARGRAPH_PATH_LEN = 10**6
+
+# `oeis` runs `dp_series` to the order --terms asks, whose cost grows about
+# as the 3.6th power of it: in process, A005773 took 0.24-0.30 s at 401 terms
+# and 3.1-3.3 s at 800, and the skew anchor A082582 0.31-0.38 s at 401
+MAX_OEIS_TERMS = 400
 
 OEIS_URL = "https://oeis.org/{id}/b{digits}.txt"
 OEIS_TIMEOUT = 10.0
@@ -228,7 +241,10 @@ def check_series_engines(variant: Variant, order: int) -> CheckResult:
 
 def check_bijection_roundtrip(max_len: int) -> CheckResult:
     """Round-trip every cornerless excursion (and, inversely, every small
-    bargraph) through the bijection."""
+    bargraph) through the bijection.
+
+    The round trip runs on the letters and the columns, through the walk and
+    the writer that ``to_bargraph`` and ``from_bargraph`` wrap."""
     name = f"bijection-round-trip (n <= {max_len})"
     words = 0
     for n in range(max_len + 1):
@@ -237,24 +253,24 @@ def check_bijection_roundtrip(max_len: int) -> CheckResult:
             forbid_ud=True, forbid_du=True, excursions_only=True,
         ):
             words += 1
-            graph = to_bargraph(word)
+            columns = letters_to_columns(word.letters)
             # the empty word's image is the empty bargraph, which has no
             # preimage of its own
-            back = from_bargraph(graph) if graph.columns else PathWord("")
-            if back != word:
+            back = columns_to_letters(columns) if columns else ""
+            if back != word.letters:
                 return CheckResult(
                     name, False, words,
-                    f"word {str(word)!r} round-trips to {str(back)!r}",
+                    f"word {str(word)!r} round-trips to {back!r}",
                 )
     graphs = 0
     for s in range(2, min(max_len, MAX_SEMIPERIMETER) + 1):
         for graph in enumerate_bargraphs(s):
             graphs += 1
-            back = to_bargraph(from_bargraph(graph))
-            if back != graph:
+            back = letters_to_columns(columns_to_letters(graph.columns))
+            if back != graph.columns:
                 return CheckResult(
                     name, False, words + graphs,
-                    f"bargraph {graph} round-trips to {back}",
+                    f"bargraph {graph} round-trips to {','.join(map(str, back))}",
                 )
     return CheckResult(
         name, True, words + graphs, f"{words} words, {graphs} bargraphs"
@@ -502,6 +518,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown id {args.id!r}; known ids: {known}")
     if args.terms is not None and args.terms < 1:
         raise ValueError("--terms must be positive")
+    if args.terms is not None and args.terms > MAX_OEIS_TERMS:
+        raise ValueError(f"--terms {args.terms} exceeds the bound {MAX_OEIS_TERMS}")
     # one b-file per id, however many anchors share it
     fetched = None
     if args.fetch:
@@ -533,7 +551,14 @@ def cmd_oeis(args: argparse.Namespace) -> int:
                 continue
             reference = fetched[start:]
             tag = f"fetched, aligned at index {start}" if start else "fetched"
-            count = min(count, len(reference))
+            if count > len(reference):
+                print(
+                    f"note: {args.id} ({anchor.label}): compared "
+                    f"{len(reference)} of the {count} terms requested, all "
+                    "the fetched b-file holds",
+                    file=sys.stderr,
+                )
+                count = len(reference)
         computed = anchor_computed_terms(anchor, count)
         divergence = next(
             (i for i, (a, b) in enumerate(zip(computed, reference)) if a != b),

@@ -10,8 +10,10 @@ Two factor statistics drive everything downstream: the number of UD factors
 (peaks) and the number of DU factors (valleys), so every rule on factors is a
 substring test on the letters.  Paths with neither factor are *cornerless*;
 cornerless excursions correspond to bargraphs by elevating the path and
-reading off the column heights, which is implemented here as
-``to_bargraph`` / ``from_bargraph``.
+reading off the column heights.  That correspondence is written once, as a
+walk from letters to columns (``letters_to_columns``) and a writer from
+columns to letters (``columns_to_letters``); ``to_bargraph`` /
+``from_bargraph`` wrap them in the word and bargraph types.
 """
 
 from __future__ import annotations
@@ -214,12 +216,12 @@ class Bargraph:
         return ",".join(str(h) for h in self.columns)
 
 
-def to_bargraph(word: PathWord) -> Bargraph:
-    """Map a cornerless excursion to its bargraph.
+def letters_to_columns(letters: str) -> tuple[int, ...]:
+    """The columns of a cornerless excursion given by its letters.
 
-    Elevate the word to U + word + D and record the height at each H step of
-    the elevated walk; those heights are the columns.  The empty word maps to
-    the empty bargraph.
+    Elevate the word to U + letters + D and record the height at each H step
+    of the elevated walk; those heights are the columns.  The empty word
+    gives no columns.
 
     The walk checks the word too.  A word that is not a plain excursion is
     reported as such before any UD or DU factor it has, as ``classify`` and
@@ -227,7 +229,7 @@ def to_bargraph(word: PathWord) -> Bargraph:
     """
     height = 1
     cols = []
-    for ch in word.letters:
+    for ch in letters:
         if ch == "H":
             cols.append(height)
         elif ch == "U":
@@ -238,26 +240,41 @@ def to_bargraph(word: PathWord) -> Bargraph:
             height = 0
             break
     if height != 1:
-        raise ValueError(f"{str(word)!r} is not a plain excursion")
-    if not is_cornerless(word):
-        raise ValueError(f"{str(word)!r} is not cornerless (contains UD or DU)")
+        raise ValueError(f"{letters!r} is not a plain excursion")
+    if "UD" in letters or "DU" in letters:
+        raise ValueError(f"{letters!r} is not cornerless (contains UD or DU)")
     # a height is recorded only while it is >= 1
-    return Bargraph._of(tuple(cols))
+    return tuple(cols)
 
 
-def from_bargraph(bargraph: Bargraph) -> PathWord:
-    """Map a nonempty bargraph back to its cornerless excursion.
+def columns_to_letters(columns: tuple[int, ...]) -> str:
+    """The letters of the cornerless excursion whose bargraph has these
+    columns, each at least 1.
 
     Walk the bargraph boundary (rise to each column height, one H across the
     top, fall at the end) without the elevation pair: start at height 1 and
     stop there, which drops the leading U and the trailing D.
     """
-    if not bargraph.columns:
-        raise ValueError("the empty bargraph has no path preimage")
     runs = []  # the rise or fall to each column, then back down to 1
     height = 1
-    for h in bargraph.columns:
+    for h in columns:
         runs.append("U" * (h - height) if h >= height else "D" * (height - h))
         height = h
     runs.append("D" * (height - 1))
-    return PathWord("H".join(runs))
+    return "H".join(runs)
+
+
+def to_bargraph(word: PathWord) -> Bargraph:
+    """Map a cornerless excursion to its bargraph (``letters_to_columns``).
+
+    The empty word maps to the empty bargraph.
+    """
+    return Bargraph._of(letters_to_columns(word.letters))
+
+
+def from_bargraph(bargraph: Bargraph) -> PathWord:
+    """Map a nonempty bargraph back to its cornerless excursion
+    (``columns_to_letters``)."""
+    if not bargraph.columns:
+        raise ValueError("the empty bargraph has no path preimage")
+    return PathWord(columns_to_letters(bargraph.columns))

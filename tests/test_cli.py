@@ -23,7 +23,7 @@ from motzkin.cli import (
 )
 from motzkin.automata import dp_count
 from motzkin.oracle import CountTable
-from motzkin.paths import Bargraph, Variant
+from motzkin.paths import Variant
 from motzkin.series import Poly, Series, closed_form
 from reference_output import series_json_text, series_text
 
@@ -665,6 +665,27 @@ def test_check_skew(capsys):
     assert all(": PASS" in line for line in out.splitlines())
 
 
+# the whole stdout of `check`, as 4864e0e printed it
+CHECK_STDOUT = {
+    ("plain", "12"): (
+        "oracle-vs-dp (plain, n <= 12): 651 compared: PASS\n"
+        "dp-vs-closed (plain, order 12): 13 compared: PASS\n"
+        "bijection-round-trip (n <= 12): 33888 compared: PASS "
+        "(2729 words, 31159 bargraphs)\n"
+    ),
+    ("skew", "10"): (
+        "oracle-vs-dp (skew, n <= 10): 359 compared: PASS\n"
+        "dp-vs-closed (skew, order 10): 11 compared: PASS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("variant, max_n", sorted(CHECK_STDOUT))
+def test_check_stdout_is_pinned(capsys, variant, max_n):
+    rc, out, err = run(capsys, "check", "--variant", variant, "--max-n", max_n)
+    assert (rc, out, err) == (0, CHECK_STDOUT[variant, max_n], "")
+
+
 def _check_output(capsys, *argv):
     rc, out, err = run(capsys, "check", "--variant", "plain", *argv)
     assert err == ""
@@ -682,17 +703,35 @@ def _check_output(capsys, *argv):
               "(bargraph 3 round-trips to 1)"),
 ])
 def test_check_fails_on_a_wrong_bargraph_image(capsys, monkeypatch, letters, line):
-    # the wrong image is a trusted bargraph, as the real map returns; only
-    # the round trip stands between it and a PASS
-    real = cli.to_bargraph
+    # the walk gives wrong columns, heights >= 1 as the real walk gives;
+    # only the round trip stands between them and a PASS
+    real = cli.letters_to_columns
 
-    def wrong_once(word):
-        return Bargraph._of((1,)) if word.letters == letters else real(word)
+    def wrong_once(word_letters):
+        return (1,) if word_letters == letters else real(word_letters)
 
-    monkeypatch.setattr(cli, "to_bargraph", wrong_once)
+    monkeypatch.setattr(cli, "letters_to_columns", wrong_once)
     rc, lines = _check_output(capsys, "--max-n", "4")
     assert rc == 1
     assert lines[2] == line
+    assert ": PASS" in lines[0] and ": PASS" in lines[1]
+
+
+def test_check_fails_on_a_wrong_path_image(capsys, monkeypatch):
+    # the writer gives a wrong excursion for the column 1, the image of "H",
+    # the second cornerless excursion
+    real = cli.columns_to_letters
+
+    def wrong_once(columns):
+        return "UHD" if columns == (1,) else real(columns)
+
+    monkeypatch.setattr(cli, "columns_to_letters", wrong_once)
+    rc, lines = _check_output(capsys, "--max-n", "4")
+    assert rc == 1
+    assert lines[2] == (
+        "bijection-round-trip (n <= 4): 2 compared: FAIL "
+        "(word 'H' round-trips to 'UHD')"
+    )
     assert ": PASS" in lines[0] and ": PASS" in lines[1]
 
 
@@ -932,6 +971,55 @@ def test_oeis_fetch_bfile_reads_the_second_field_of_full_lines(monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     assert cli.fetch_bfile("A001006") == [1, 1, 2]
     assert asked == [("https://oeis.org/A001006/b001006.txt", cli.OEIS_TIMEOUT)]
+
+
+def test_oeis_terms_bound(capsys, monkeypatch):
+    calls = []
+
+    def fetch(id, timeout=10.0):
+        calls.append(id)
+        return list(MOTZKIN_12)
+
+    monkeypatch.setattr("motzkin.cli.fetch_bfile", fetch)
+    rc, out, _ = run(
+        capsys, "oeis", "--id", "A001006", "--fetch",
+        "--terms", str(cli.MAX_OEIS_TERMS),
+    )
+    assert (rc, calls) == (0, ["A001006"])
+    assert "match on" in out
+    # refused before the fetch
+    calls.clear()
+    rc, out, err = run(
+        capsys, "oeis", "--id", "A001006", "--fetch",
+        "--terms", str(cli.MAX_OEIS_TERMS + 1),
+    )
+    assert (rc, out, calls) == (2, "", [])
+    assert err == (
+        f"error: --terms {cli.MAX_OEIS_TERMS + 1} exceeds the bound "
+        f"{cli.MAX_OEIS_TERMS}\n"
+    )
+
+
+def test_oeis_fetch_notes_a_short_bfile(capsys, monkeypatch):
+    # A004148 has two anchors; its 9-term b-file holds 8 terms from the
+    # valleyless prefix (aligned at index 1) and 9 from the peakless one
+    monkeypatch.setattr(
+        "motzkin.cli.fetch_bfile",
+        lambda id, timeout=10.0: [1, 1, 1, 2, 4, 8, 17, 37, 82],
+    )
+    rc, out, err = run(capsys, "oeis", "--id", "A004148", "--terms", "12", "--fetch")
+    assert rc == 0
+    assert out.splitlines() == [
+        "A004148 (valleyless excursions): match on 1,1,2,4,8,17,37,82 "
+        "[fetched, aligned at index 1]",
+        "A004148 (peakless excursions): match on 1,1,1,2,4,8,17,37,82 [fetched]",
+    ]
+    assert err.splitlines() == [
+        "note: A004148 (valleyless excursions): compared 8 of the 12 terms "
+        "requested, all the fetched b-file holds",
+        "note: A004148 (peakless excursions): compared 9 of the 12 terms "
+        "requested, all the fetched b-file holds",
+    ]
 
 
 def test_oeis_terms_must_be_positive(capsys):
