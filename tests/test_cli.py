@@ -1067,6 +1067,34 @@ def test_anchor_targets_are_embedded_prefix_lengths_only():
         assert tuple(computed) == anchor.terms
 
 
+
+def test_oeis_anchor_is_a_frozen_value():
+    anchor = ANCHORS[0]
+    with pytest.raises(AttributeError):
+        anchor.terms = ()
+    same = cli.OeisAnchor(anchor.id, anchor.label, anchor.variant, anchor.u,
+                          anchor.sigma, anchor.tau, anchor.terms)
+    assert same == anchor and hash(same) == hash(anchor)
+    assert repr(anchor) == (
+        "OeisAnchor(id='A004148', label='valleyless excursions', "
+        "variant=<Variant.PLAIN: 'plain'>, u=0, sigma=0, tau=1, "
+        "terms=(1, 1, 2, 4, 8, 17, 37, 82))"
+    )
+
+
+def test_check_result_compares_by_fields_and_is_unhashable():
+    result = cli.CheckResult("suite", True, 3)
+    assert result == cli.CheckResult("suite", True, 3, "")
+    assert result != cli.CheckResult("suite", True, 3, "note")
+    assert result != cli.CheckResult("suite", False, 3)
+    with pytest.raises(TypeError):
+        hash(result)
+    assert repr(result) == (
+        "CheckResult(name='suite', passed=True, compared=3, detail='')"
+    )
+    result.detail = "note"  # mutable
+    assert result.line() == "suite: 3 compared: PASS (note)"
+
 def test_anchors_for_filters():
     assert len(anchors_for("A004148")) == 2
     assert anchors_for("A999999") == []

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from motzkin import automata, oracle
+from motzkin.automata import dp_count
 from motzkin.cli import CHECK_MAX_N
 from motzkin.oracle import (
     MAX_PATH_LEN,
@@ -175,6 +176,24 @@ def test_json_rows_round_trip():
     # serialized form is valid JSON
     assert json.loads(table.to_json()) == rows
 
+
+
+def test_count_table_compares_by_fields_and_is_unhashable():
+    table = count_table(4, Variant.PLAIN)
+    assert table == dp_count(4, Variant.PLAIN)
+    assert table == CountTable(Variant.PLAIN, 4, dict(table.entries))
+    assert table != CountTable(Variant.SKEW, 4, table.entries)
+    assert table != CountTable(Variant.PLAIN, 5, table.entries)
+    assert table != CountTable(Variant.PLAIN, 4, {**table.entries, (0, 0, 0, 0): 2})
+    with pytest.raises(TypeError):
+        hash(table)
+    table.n_max = 5  # mutable
+    assert table.n_max == 5
+    small = CountTable(Variant.PLAIN, 1, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
+    assert repr(small) == (
+        "CountTable(variant=<Variant.PLAIN: 'plain'>, n_max=1, "
+        "entries={(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})"
+    )
 
 def test_csv_export():
     table = count_table(2, Variant.PLAIN)

@@ -86,6 +86,21 @@ def test_reading_levels_leaves_identity_alone():
         assert repr(read) == f"PathWord(letters={read.letters!r})"
 
 
+
+def test_words_and_bargraphs_are_frozen_values():
+    for value, field in ((word("UHD"), "letters"), (Bargraph((2, 1)), "columns")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert word("UHD") == PathWord("UHD") and word("UHD") != word("UH")
+    assert hash(word("UHD")) == hash(PathWord("UHD"))
+    assert Bargraph((2, 1)) == Bargraph.parse("2,1") != Bargraph((1, 2))
+    assert hash(Bargraph((2, 1))) == hash(Bargraph.parse("2,1"))
+    assert repr(Bargraph((2, 1))) == "Bargraph(columns=(2, 1))"
+    # _of trusts its caller's heights; the constructor checks them
+    assert Bargraph._of((1, 0)).columns == (1, 0)
+    with pytest.raises(ValueError, match="column heights must be >= 1"):
+        Bargraph((1, 0))
+
 class CountingWord(PathWord):
     """A word that counts how often its levels are walked."""
 

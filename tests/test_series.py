@@ -1041,6 +1041,14 @@ def test_symbolic_u_rechecks_c0_at_every_order(monkeypatch):
     closed_form.cache_clear()
 
 
+
+def test_closed_form_fields_are_frozen():
+    closed = closed_form(Variant.SKEW, 4)
+    for field in ("variant", "order", "total", "c0", "zu", "sigma", "tau"):
+        with pytest.raises(AttributeError):
+            setattr(closed, field, None)
+    assert closed.h is closed.h  # the layers are still cached once read
+
 def test_cached_entry_points_refuse_bad_arguments():
     with pytest.raises(TypeError):
         closed_form(Variant.PLAIN)
