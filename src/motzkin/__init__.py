@@ -30,10 +30,7 @@ from .oracle import (
     enumerate_paths,
 )
 from .automata import (
-    AutomatonSpec,
     Layer,
-    Transition,
-    build_automaton,
     dp_count,
     dp_series,
 )
@@ -54,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bargraph",
-    "AutomatonSpec",
     "ClosedForm",
     "CountTable",
     "Layer",
@@ -64,10 +60,8 @@ __all__ = [
     "Poly",
     "Series",
     "Step",
-    "Transition",
     "Variant",
     "boundary_values",
-    "build_automaton",
     "classify",
     "closed_form",
     "count_table",

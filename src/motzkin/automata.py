@@ -10,13 +10,12 @@ exponent counts UD factors.
 
 The dynamic programming here runs directly on the automaton's moves, so it
 is an implementation independent from both the brute-force oracle and the
-closed-form series pipeline.  Both it and ``build_automaton`` read one
-move table, _MOVES: (layer change, level change, weight) by source layer
-and step.  A move is the same at every level, except that down and left
-steps need level >= 1; ``build_automaton`` writes it out at every level of
-its slice, and the sweep makes it at all levels at once.  So the sweep
-keys its frontier by (layer, #UD, #DU) and holds the counts of all end
-levels in one int, level j's count in the signed slot j at 2^width
+closed-form series pipeline.  The automaton is one move table, _MOVES:
+(layer change, level change, weight) by source layer and step.  A move is
+the same at every level, except that down and left steps need level >= 1,
+and the sweep makes it at all levels at once.  So the sweep keys its
+frontier by (layer, #UD, #DU) and holds the counts of all end levels in
+one int, level j's count in the signed slot j at 2^width
 (Kronecker substitution, as the closed form packs u): an up step shifts the
 int left by width, a down or left step drops slot 0 (the walks at level 0,
 which cannot take it) and shifts right, and a horizontal step leaves it as
@@ -38,9 +37,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import operator
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .oracle import CountTable
@@ -56,7 +53,7 @@ from .series import (
     _value_scale,
     require_exact,
 )
-from .paths import PathWord, Variant
+from .paths import Variant
 
 
 class Layer(enum.Enum):
@@ -107,106 +104,6 @@ _MOVES = {
         if step != "L" and src is not Layer.AFTER_L
     },
 }
-
-
-@dataclass(frozen=True)
-class Transition:
-    src: State
-    step: str
-    dst: State
-    weight: str = WEIGHT_ONE
-
-
-@dataclass(frozen=True)
-class AutomatonSpec:
-    """A finite slice (levels 0..level_cap) of the layered automaton."""
-
-    variant: Variant
-    level_cap: int
-    transitions: tuple[Transition, ...]
-    start: State = _START
-    _lookup: dict[tuple[State, str], Transition] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        lookup = {}
-        for t in self.transitions:
-            key = (t.src, t.step)
-            if key in lookup:
-                raise ValueError(f"nondeterministic transition on {key}")
-            lookup[key] = t
-        object.__setattr__(self, "_lookup", lookup)
-
-    def transition(self, src: State, step: str) -> Optional[Transition]:
-        return self._lookup.get((src, step))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variant": self.variant.value,
-                "level_cap": self.level_cap,
-                "start": [str(self.start[0]), self.start[1]],
-                "transitions": [
-                    {
-                        "src": [str(t.src[0]), t.src[1]],
-                        "step": t.step,
-                        "dst": [str(t.dst[0]), t.dst[1]],
-                        "weight": t.weight,
-                    }
-                    for t in self.transitions
-                ],
-            },
-            indent=2,
-        )
-
-
-def build_automaton(variant: Variant, level_cap: int) -> AutomatonSpec:
-    """Build the transition table for levels 0..level_cap: every move of
-    _MOVES at every level it keeps within the slice.
-
-    Up steps from level_cap are omitted, so the slice exactly recognizes the
-    walks that never climb above level_cap.
-    """
-    if level_cap < 0:
-        raise ValueError("level_cap must be nonnegative")
-    transitions = tuple(
-        Transition((src, level), step, (dst, level + shift), weight)
-        for level in range(level_cap + 1)
-        for (src, step), (dst, shift, weight) in _MOVES[variant].items()
-        if 0 <= level + shift <= level_cap
-    )
-    return AutomatonSpec(variant, level_cap, transitions)
-
-
-@dataclass(frozen=True)
-class RunResult:
-    accepted: bool
-    end: Optional[State]
-    sigma_exp: int
-    tau_exp: int
-
-
-def run(spec: AutomatonSpec, word: PathWord | str) -> RunResult:
-    """Run the automaton on a word, tracking the weight exponents.
-
-    The empty word is accepted at the start state with weight 1.  A missing
-    transition (invalid word, or one climbing past the level cap) rejects.
-    """
-    if isinstance(word, str):
-        word = PathWord.parse(word)
-    state = spec.start
-    sig = tau = 0
-    for letter in word.letters:
-        t = spec.transition(state, letter)
-        if t is None:
-            return RunResult(False, None, 0, 0)
-        if t.weight == WEIGHT_SIGMA:
-            sig += 1
-        elif t.weight == WEIGHT_TAU:
-            tau += 1
-        state = t.dst
-    return RunResult(True, state, sig, tau)
 
 
 # The sweep keys its frontier by (layer, #UD, #DU), packed into one int as

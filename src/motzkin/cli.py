@@ -14,9 +14,8 @@ import functools
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .automata import dp_count, dp_series
 from .oracle import (
@@ -86,8 +85,7 @@ SIGMA_TAU_NOTE = (
 # sequence anchors
 
 
-@dataclass(frozen=True)
-class OeisAnchor:
+class OeisAnchor(NamedTuple):
     """A specialization of the full generating function pinned to a known
     integer sequence prefix.
 
@@ -188,12 +186,23 @@ def align_terms(reference: Sequence[int], needle: Sequence[int]) -> Optional[int
 # consistency check suites
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    compared: int
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, compared: int, detail: str = "") -> None:
+        self.name = name
+        self.passed = passed
+        self.compared = compared
+        self.detail = detail
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.passed, self.compared, self.detail) == (
+            other.name, other.passed, other.compared, other.detail
+        )
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(name={self.name!r}, passed={self.passed!r}, "
+                f"compared={self.compared!r}, detail={self.detail!r})")
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -8,8 +8,6 @@ both.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterator
 
 from .paths import Bargraph, PathWord, Step, Variant
@@ -18,13 +16,26 @@ MAX_PATH_LEN = 20
 MAX_SEMIPERIMETER = 12
 
 
-@dataclass
 class CountTable:
     """Counts of walks keyed by (length, end level, #UD, #DU)."""
 
-    variant: Variant
-    n_max: int
-    entries: dict[tuple[int, int, int, int], int]
+    def __init__(
+        self, variant: Variant, n_max: int, entries: dict[tuple[int, int, int, int], int]
+    ) -> None:
+        self.variant = variant
+        self.n_max = n_max
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.variant, self.n_max, self.entries) == (
+            other.variant, other.n_max, other.entries
+        )
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(variant={self.variant!r}, "
+                f"n_max={self.n_max!r}, entries={self.entries!r})")
 
     def count(self, n: int, j: int, ud: int, du: int) -> int:
         return self.entries.get((n, j, ud, du), 0)
@@ -50,6 +61,8 @@ class CountTable:
         ]
 
     def to_json(self) -> str:
+        import json  # here, not at the top: only ``count --format json`` needs it
+
         return json.dumps(self.to_json_rows(), indent=2)
 
     def to_text(self, sep: str) -> str:

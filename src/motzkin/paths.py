@@ -19,7 +19,6 @@ columns to letters (``columns_to_letters``); ``to_bargraph`` /
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -61,7 +60,10 @@ class PatternStats(NamedTuple):
     du: int
 
 
-@dataclass(frozen=True)
+def _frozen(self, *args) -> None:
+    raise AttributeError(f"cannot assign to field of {type(self).__name__}")
+
+
 class PathWord:
     """An immutable word of step letters with lazily cached level data.
 
@@ -70,7 +72,23 @@ class PathWord:
     or repr.
     """
 
-    letters: str
+    __slots__ = ("letters", "__dict__")  # the dict holds the cached levels
+
+    def __init__(self, letters: str) -> None:
+        _set_letters(self, letters)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(letters={self.letters!r})"
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -124,6 +142,10 @@ class PathWord:
         return self.letters
 
 
+# the slot's own setter, which the frozen __setattr__ does not reach
+_set_letters = PathWord.letters.__set__
+
+
 def classify(word: PathWord, variant: Variant) -> PathClass:
     """Classify a word as invalid, a meander, or an excursion.
 
@@ -164,7 +186,6 @@ def elevate(word: PathWord) -> PathWord:
     return PathWord("U" + word.letters + "D")
 
 
-@dataclass(frozen=True)
 class Bargraph:
     """A column-height sequence; every height is at least 1.
 
@@ -173,11 +194,14 @@ class Bargraph:
     empty bargraph.
     """
 
-    columns: tuple[int, ...]
+    __slots__ = ("columns",)
 
-    def __post_init__(self) -> None:
-        if self.columns and min(self.columns) < 1:
-            raise ValueError(f"column heights must be >= 1, got {self.columns}")
+    def __init__(self, columns: tuple[int, ...]) -> None:
+        if columns and min(columns) < 1:
+            raise ValueError(f"column heights must be >= 1, got {columns}")
+        _set_columns(self, columns)
+
+    __setattr__ = __delattr__ = _frozen
 
     @classmethod
     def _of(cls, columns: tuple[int, ...]) -> "Bargraph":
@@ -186,8 +210,19 @@ class Bargraph:
         of ``to_bargraph``.  Every other construction goes through
         ``Bargraph(...)``, which checks."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "columns", columns)
+        _set_columns(graph, columns)
         return graph
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __hash__(self) -> int:
+        return hash(self.columns)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(columns={self.columns!r})"
 
     @property
     def semiperimeter(self) -> int:
@@ -214,6 +249,9 @@ class Bargraph:
 
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.columns)
+
+
+_set_columns = Bargraph.columns.__set__
 
 
 def letters_to_columns(letters: str) -> tuple[int, ...]:

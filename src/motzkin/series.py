@@ -66,7 +66,6 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -903,7 +902,6 @@ def kernel_sum(
     return _terms_at(order, _constant_terms(variant)[0], sigma, tau)
 
 
-@dataclass(frozen=True)
 class ClosedForm:
     """The grand generating function of all walks and its layers.
 
@@ -917,13 +915,22 @@ class ClosedForm:
     are the boundary values G(0), H(0), K(0).
     """
 
-    variant: Variant
-    order: int
-    total: Series
-    c0: Series = field(repr=False)
-    zu: Series = field(repr=False)
-    sigma: Optional[Rat] = field(default=None, repr=False)
-    tau: Optional[Rat] = field(default=None, repr=False)
+    def __init__(
+        self,
+        variant: Variant,
+        order: int,
+        total: Series,
+        c0: Series,
+        zu: Series,
+        sigma: Optional[Rat] = None,
+        tau: Optional[Rat] = None,
+    ) -> None:
+        # the layers below cache themselves in the same dict
+        vars(self).update(variant=variant, order=order, total=total, c0=c0,
+                          zu=zu, sigma=sigma, tau=tau)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of ClosedForm")
 
     @functools.cached_property
     def kernel(self) -> Series:

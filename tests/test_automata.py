@@ -1,6 +1,6 @@
 import itertools
-import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,15 +12,14 @@ from motzkin.automata import (
     WEIGHT_TAU,
     Layer,
     _sweep,
-    build_automaton,
     dp_count,
     dp_series,
     layer_series,
-    run,
 )
 from motzkin.oracle import count_table, enumerate_paths
 from motzkin.paths import PathClass, PathWord, Variant, classify, pattern_stats
 from motzkin.series import Poly, _unpack_slots, closed_form
+from move_runner import run_moves
 
 ALPHABET = {Variant.PLAIN: "UDH", Variant.SKEW: "UDHL"}
 
@@ -34,61 +33,46 @@ def poly(d):
 
 
 def test_plain_has_no_skew_parts():
-    spec = build_automaton(Variant.PLAIN, 4)
-    for t in spec.transitions:
-        assert t.step != "L"
-        assert t.src[0] is not Layer.AFTER_L
-        assert t.dst[0] is not Layer.AFTER_L
+    for (src, step), (dst, _, _) in automata._MOVES[Variant.PLAIN].items():
+        assert step != "L"
+        assert src is not Layer.AFTER_L
+        assert dst is not Layer.AFTER_L
 
 
 def test_skew_adjacency_restrictions():
-    spec = build_automaton(Variant.SKEW, 4)
-    for t in spec.transitions:
-        if t.src[0] is Layer.AFTER_L:
-            assert t.step != "U"
-        if t.src[0] is Layer.AFTER_U:
-            assert t.step != "L"
+    for src, step in automata._MOVES[Variant.SKEW]:
+        if src is Layer.AFTER_L:
+            assert step != "U"
+        if src is Layer.AFTER_U:
+            assert step != "L"
 
 
 def test_weights_sit_exactly_on_pattern_edges():
     for variant in Variant:
-        spec = build_automaton(variant, 5)
-        for t in spec.transitions:
-            expect_tau = t.src[0] is Layer.AFTER_U and t.step == "D"
-            expect_sigma = t.src[0] is Layer.AFTER_D and t.step == "U"
+        for (src, step), (_, _, weight) in automata._MOVES[variant].items():
+            expect_tau = src is Layer.AFTER_U and step == "D"
+            expect_sigma = src is Layer.AFTER_D and step == "U"
             if expect_tau:
-                assert t.weight == WEIGHT_TAU
+                assert weight == WEIGHT_TAU
             elif expect_sigma:
-                assert t.weight == WEIGHT_SIGMA
+                assert weight == WEIGHT_SIGMA
             else:
-                assert t.weight == WEIGHT_ONE
+                assert weight == WEIGHT_ONE
 
 
 def test_level_cap_and_floor():
+    delta = {"U": 1, "D": -1, "H": 0, "L": -1}
     for variant in Variant:
-        spec = build_automaton(variant, 3)
-        for t in spec.transitions:
-            if t.src[1] == 3:
-                assert t.step != "U"
-            if t.src[1] == 0:
-                assert t.step not in ("D", "L")
-            delta = {"U": 1, "D": -1, "H": 0, "L": -1}[t.step]
-            assert t.dst[1] == t.src[1] + delta
-
-
-def test_cap_zero_accepts_only_flat_words():
-    spec = build_automaton(Variant.PLAIN, 0)
-    assert run(spec, "HHH").accepted
-    assert not run(spec, "UD").accepted
-
-
-def test_to_json_shape():
-    spec = build_automaton(Variant.SKEW, 2)
-    data = json.loads(spec.to_json())
-    assert data["variant"] == "skew"
-    assert data["level_cap"] == 2
-    assert data["start"] == ["after_h_or_start", 0]
-    assert len(data["transitions"]) == len(spec.transitions)
+        for (_, step), (_, shift, _) in automata._MOVES[variant].items():
+            assert shift == delta[step]
+        # a run takes no step below level 0 and none past its cap
+        for n in range(7):
+            for letters in itertools.product(ALPHABET[variant], repeat=n):
+                text = "".join(letters)
+                levels = list(itertools.accumulate(delta[ch] for ch in text))
+                valid = classify(PathWord(text), variant) is not PathClass.INVALID
+                low_enough = max(levels, default=0) <= 3
+                assert (run_moves(variant, text, 3) is not None) == (valid and low_enough)
 
 
 # ---------------------------------------------------------------------------
@@ -96,49 +80,45 @@ def test_to_json_shape():
 
 
 def test_run_examples():
-    spec = build_automaton(Variant.PLAIN, 6)
-    res = run(spec, "UD")
-    assert res.accepted and res.end == (Layer.AFTER_D, 0)
-    assert (res.sigma_exp, res.tau_exp) == (0, 1)
+    end, sigma_exp, tau_exp = run_moves(Variant.PLAIN, "UD", 6)
+    assert end == (Layer.AFTER_D, 0)
+    assert (sigma_exp, tau_exp) == (0, 1)
 
-    res = run(spec, "UDUD")
-    assert (res.sigma_exp, res.tau_exp) == (1, 2)
+    _, sigma_exp, tau_exp = run_moves(Variant.PLAIN, "UDUD", 6)
+    assert (sigma_exp, tau_exp) == (1, 2)
 
-    res = run(spec, "")
-    assert res.accepted and res.end == spec.start
+    end, _, _ = run_moves(Variant.PLAIN, "", 6)
+    assert end == automata._START
 
-    res = run(spec, PathWord.parse("UHD"))
-    assert res.accepted and (res.sigma_exp, res.tau_exp) == (0, 0)
+    _, sigma_exp, tau_exp = run_moves(Variant.PLAIN, PathWord.parse("UHD").letters, 6)
+    assert (sigma_exp, tau_exp) == (0, 0)
 
 
 def test_run_rejections():
-    skew = build_automaton(Variant.SKEW, 6)
-    assert not run(skew, "ULH").accepted  # L may not follow U
-    assert not run(skew, "UDL").accepted  # L from level 0 dips below the axis
-    assert run(skew, "UUDL").accepted
-    low = build_automaton(Variant.PLAIN, 2)
-    assert not run(low, "UUU").accepted  # past the cap
-    rej = run(skew, "DD")
-    assert rej.end is None and rej.sigma_exp == 0 and rej.tau_exp == 0
+    assert run_moves(Variant.SKEW, "ULH", 6) is None  # L may not follow U
+    assert run_moves(Variant.SKEW, "UDL", 6) is None  # L from level 0 dips below the axis
+    assert run_moves(Variant.SKEW, "UUDL", 6) is not None
+    assert run_moves(Variant.PLAIN, "UUU", 2) is None  # past the cap
+    assert run_moves(Variant.SKEW, "DD", 6) is None
 
 
 def test_run_agrees_with_classifier_exhaustively():
     for variant in Variant:
-        spec = build_automaton(variant, 7)
         for n in range(8):
             for letters in itertools.product(ALPHABET[variant], repeat=n):
                 text = "".join(letters)
-                res = run(spec, text)
+                res = run_moves(variant, text, 7)
                 try:
                     word = PathWord.parse(text)
                     valid = classify(word, variant) is not PathClass.INVALID
                 except ValueError:
                     valid = False
-                assert res.accepted == valid, text
+                assert (res is not None) == valid, text
                 if valid:
+                    end, sigma_exp, tau_exp = res
                     stats = pattern_stats(word)
-                    assert res.end == _expected_end(word, variant)
-                    assert (res.sigma_exp, res.tau_exp) == (stats.du, stats.ud)
+                    assert end == _expected_end(word, variant)
+                    assert (sigma_exp, tau_exp) == (stats.du, stats.ud)
 
 
 def _expected_end(word: PathWord, variant: Variant):
@@ -158,12 +138,12 @@ def test_run_on_sampled_longer_words():
     rng = random.Random(4117)
     for variant in Variant:
         pool = list(enumerate_paths(10, variant))
-        spec = build_automaton(variant, 10)
         for word in rng.sample(pool, 200):
-            res = run(spec, word)
+            res = run_moves(variant, word.letters, 10)
             stats = pattern_stats(word)
-            assert res.accepted
-            assert (res.sigma_exp, res.tau_exp) == (stats.du, stats.ud)
+            assert res is not None
+            _, sigma_exp, tau_exp = res
+            assert (sigma_exp, tau_exp) == (stats.du, stats.ud)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +335,10 @@ def test_move_table_is_the_automaton():
     moves = automata._MOVES
     assert moves[Variant.SKEW][Layer.AFTER_U, "D"] == (Layer.AFTER_D, -1, WEIGHT_TAU)
     assert moves[Variant.SKEW][Layer.AFTER_L, "L"] == (Layer.AFTER_L, -1, WEIGHT_ONE)
-    # every move at every level it keeps within 0..cap: up moves below the
-    # cap, down and left moves above 0, horizontal moves everywhere
-    for cap in range(7):
-        assert len(build_automaton(Variant.PLAIN, cap).transitions) == 9 * cap + 3
-        assert len(build_automaton(Variant.SKEW, cap).transitions) == 14 * cap + 4
+    # the moves by level change: up, down or left, and horizontal
+    for variant, counts in ((Variant.PLAIN, {1: 3, -1: 3, 0: 3}),
+                            (Variant.SKEW, {1: 3, -1: 7, 0: 4})):
+        assert Counter(shift for _, shift, _ in moves[variant].values()) == counts
 
 
 def test_dp_refuses_inexact_values():
@@ -370,7 +349,3 @@ def test_dp_refuses_inexact_values():
         with pytest.raises(TypeError):
             dp_series(3, Variant.PLAIN, **values)
 
-
-def test_build_automaton_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        build_automaton(Variant.PLAIN, -1)

@@ -1053,6 +1053,23 @@ def test_import_leaves_urllib_unloaded():
     assert proc.stdout == "False False\n"
 
 
+
+def test_cold_import_loads_no_dataclasses_inspect_or_json(capsys):
+    # an isolated interpreter, as every command starts: the import pays for
+    # none of these, and `count --format json` imports json when it runs
+    src = str(Path(motzkin.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import motzkin.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys())); "
+        "motzkin.cli.main(['count', '--n', '4', '--format', 'json'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, timeout=60, check=True
+    )
+    rc, out, _ = run(capsys, "count", "--n", "4", "--format", "json")
+    assert rc == 0
+    assert proc.stdout == b"[]\n" + out.encode()
+
 def test_align_terms():
     assert align_terms([5, 1, 2, 3], [1, 2]) == 1
     assert align_terms([1, 2, 3], [1, 2, 3]) == 0

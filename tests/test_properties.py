@@ -11,7 +11,7 @@ from itertools import accumulate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkin.automata import Layer, build_automaton, dp_series, run
+from motzkin.automata import Layer, dp_series
 from motzkin.oracle import enumerate_paths
 from motzkin.paths import (
     Bargraph,
@@ -25,6 +25,7 @@ from motzkin.paths import (
 )
 from motzkin.series import Poly, Series, closed_form
 import reference_kernel
+from move_runner import run_moves
 from reference_oracle import enumerate_paths as reference_paths
 from reference_output import poly_text, series_json_text, series_text, sorted_terms
 
@@ -174,15 +175,16 @@ words = st.text("UDHL", max_size=24) | st.builds(
 @given(st.sampled_from(list(Variant)), words)
 def test_run_agrees_with_classify(variant, text):
     # a level cap of len(text) never rejects a word for climbing too high
-    res = run(build_automaton(variant, len(text)), text)
+    res = run_moves(variant, text, len(text))
     word = PathWord.parse(text)
     valid = classify(word, variant) is not PathClass.INVALID
-    assert res.accepted == valid
+    assert (res is not None) == valid
     if valid:
+        end, sigma_exp, tau_exp = res
         layer = _LAYER_AFTER[text[-1]] if text else Layer.AFTER_H
-        assert res.end == (layer, word.end_level)
+        assert end == (layer, word.end_level)
         stats = pattern_stats(word)
-        assert (res.sigma_exp, res.tau_exp) == (stats.du, stats.ud)
+        assert (sigma_exp, tau_exp) == (stats.du, stats.ud)
 
 
 @derandomized
