@@ -65,14 +65,16 @@ def test_level_cap_and_floor():
     for variant in Variant:
         for (_, step), (_, shift, _) in automata._MOVES[variant].items():
             assert shift == delta[step]
-        # a run takes no step below level 0 and none past its cap
+        # a run takes no step below level 0 and none past its cap; at cap 0
+        # only flat words are left
         for n in range(7):
             for letters in itertools.product(ALPHABET[variant], repeat=n):
                 text = "".join(letters)
-                levels = list(itertools.accumulate(delta[ch] for ch in text))
+                top = max(itertools.accumulate(delta[ch] for ch in text), default=0)
                 valid = classify(PathWord(text), variant) is not PathClass.INVALID
-                low_enough = max(levels, default=0) <= 3
-                assert (run_moves(variant, text, 3) is not None) == (valid and low_enough)
+                for cap in (0, 3):
+                    accepted = run_moves(variant, text, cap) is not None
+                    assert accepted == (valid and top <= cap), (text, cap)
 
 
 # ---------------------------------------------------------------------------
