@@ -8,14 +8,14 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .automata import dp_count, dp_series
 from .oracle import (
@@ -35,6 +35,9 @@ from .paths import (
     to_bargraph,
 )
 from .series import Rat, closed_form, default_order
+
+if TYPE_CHECKING:
+    import argparse
 
 OK = 0
 FAIL = 1
@@ -669,6 +672,8 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="motzkin",
         description=(
@@ -692,25 +697,155 @@ def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """
     if command is None:
         return build_parser()
+    import argparse
+
     _, epilog, add_args = _COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"motzkin {command}", epilog=epilog)
     add_args(parser)
     return parser
 
 
+class _Option(NamedTuple):
+    """One option as _read_args reads it."""
+
+    dest: str
+    switch: bool  # action="store_true": takes no value
+    number: bool  # type=int
+    choices: Optional[Sequence[object]]
+    required: bool
+    default: object
+
+
+class _Group(NamedTuple):
+    """A mutually exclusive group as _Spec records it."""
+
+    spec: _Spec
+    required: bool
+    dests: list[str]
+
+    def add_argument(self, *flags: str, **kw: object) -> None:
+        self.dests.append(self.spec.add_argument(*flags, **kw))
+
+
+# the add_argument keywords _Spec records
+_READABLE = {"action", "type", "choices", "default", "required", "dest", "help"}
+
+
+class _Spec:
+    """A command's arguments, recorded by calling its ``_<name>_args`` on
+    this in place of a parser: its options by flag, the parser's own
+    defaults and the mutually exclusive groups, for _read_args.
+
+    ``readable`` turns False on any argument but one ``--`` flag that
+    stores a string or an int or is a store_true switch; _read_args then
+    declines every line of the command."""
+
+    def __init__(self) -> None:
+        self.options: dict[str, _Option] = {}
+        self.defaults: dict[str, object] = {}
+        self.groups: list[_Group] = []
+        self.readable = True
+
+    def add_argument(self, *flags: str, **kw: object) -> str:
+        switch = kw.get("action") == "store_true"
+        default = kw.get("default", False if switch else None)
+        self.readable &= (
+            len(flags) == 1 and flags[0].startswith("--") and kw.keys() <= _READABLE
+            and kw.get("action") in (None, "store_true")
+            and kw.get("type") in (None, int)
+            # argparse runs a string default through its type; _read_args does not
+            and not ("type" in kw and isinstance(default, str))
+        )
+        dest = kw.get("dest") or flags[0].lstrip("-").replace("-", "_")
+        self.options[flags[0]] = _Option(
+            dest, switch, kw.get("type") is int, kw.get("choices"),
+            bool(kw.get("required")), default,
+        )
+        return dest
+
+    def add_mutually_exclusive_group(self, required: bool = False) -> _Group:
+        self.groups.append(_Group(self, required, []))
+        return self.groups[-1]
+
+    def set_defaults(self, **defaults: object) -> None:
+        self.defaults.update(defaults)
+
+
+@functools.cache
+def _spec(command: str) -> _Spec:
+    spec = _Spec()
+    _COMMANDS[command][2](spec)
+    return spec
+
+
+def _read_args(command: str, argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What ``_parser(command).parse_args(argv)`` gives, read without
+    argparse, or None for a line outside the subset read here.
+
+    That subset: each option named exactly and at most once, no other
+    token; a value as --opt=value, or as --opt value where it does not
+    start with "-", and never empty or "--"; a switch with no =value; an
+    int in ASCII digits that int() takes; a value among the option's
+    choices; every required option given, and one option at most of a
+    group, one at least of a required group.  Every other line, help and
+    errors included, goes to argparse, which alone writes usage and help.
+    """
+    spec = _spec(command)
+    if not spec.readable:
+        return None
+    given: dict[str, object] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = spec.options.get(flag)
+        if option is None or option.dest in given:
+            return None
+        if option.switch:
+            if eq:
+                return None
+            given[option.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        # argparse reads --opt=-- as an empty list
+        if not value or value == "--" or not eq and value[0] == "-":
+            return None
+        if option.number:
+            limit = sys.get_int_max_str_digits()  # 0 for no limit
+            if not (value.isascii() and value.isdigit()) or 0 < limit < len(value):
+                return None
+            value = int(value)
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[option.dest] = value
+    for group in spec.groups:
+        present = sum(dest in given for dest in group.dests)
+        if present > 1 or group.required and not present:
+            return None
+    options = spec.options.values()
+    if any(o.required and o.dest not in given for o in options):
+        return None
+    return SimpleNamespace(**{o.dest: o.default for o in options} | spec.defaults | given)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        if argv and argv[0] in _COMMANDS:
-            # only the named command's parser is built; what it leaves over
-            # is reported by the whole parser, as parse_args would
-            args, extra = _parser(argv[0]).parse_known_args(argv[1:])
-            if extra:
-                _parser().error(f"unrecognized arguments: {' '.join(extra)}")
-        else:
-            args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    # a well-formed line is read without building a parser or importing
+    # argparse; what _read_args declines, argparse parses and reports
+    args = _read_args(command, argv[1:]) if command else None
+    if args is None:
+        try:
+            if command:
+                # only the named command's parser is built; what it leaves
+                # over is reported by the whole parser, as parse_args would
+                args, extra = _parser(command).parse_known_args(argv[1:])
+                if extra:
+                    _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+            else:
+                args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a reader gone by now is caught below, not at exit

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import motzkin
 from motzkin import cli
@@ -1070,6 +1072,40 @@ def test_cold_import_loads_no_dataclasses_inspect_or_json(capsys):
     assert rc == 0
     assert proc.stdout == b"[]\n" + out.encode()
 
+
+def test_cold_well_formed_lines_load_no_argparse(capsys):
+    # an isolated interpreter: a well-formed line is read without argparse
+    # and the gettext and locale it loads; a declined line still gets
+    # argparse's reading, and its usage error
+    src = str(Path(motzkin.__file__).resolve().parents[1])
+    loaded = (
+        "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()), "
+        "flush=True); "
+    )
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import motzkin.cli; {loaded}"
+        "motzkin.cli.main(['series', '--order', '4']); "
+        "motzkin.cli.main(['count', '--n=4', '--variant', 'skew']); "
+        f"{loaded}"
+        "motzkin.cli.main(['series', '--ord', '3']); "
+        "sys.exit(motzkin.cli.main(['series', '--order', 'x']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, timeout=60
+    )
+    lines = [run(capsys, "series", "--order", "4"),
+             run(capsys, "count", "--n=4", "--variant", "skew"),
+             run(capsys, "series", "--ord", "3"),
+             run(capsys, "series", "--order", "x")]
+    assert [rc for rc, _, _ in lines] == [0, 0, 0, 2]
+    assert proc.stdout == (
+        "[]\n" + lines[0][1] + lines[1][1] + "[]\n" + lines[2][1]
+    ).encode()
+    assert proc.stderr == lines[3][2].encode()
+    assert lines[3][2].startswith("usage: motzkin series")
+    assert proc.returncode == 2
+
+
 def test_align_terms():
     assert align_terms([5, 1, 2, 3], [1, 2]) == 1
     assert align_terms([1, 2, 3], [1, 2, 3]) == 0
@@ -1163,18 +1199,112 @@ def test_command_parser_helps_as_the_whole_parser_does():
     ("paths", "--list", "--count-only"),
     ("bargraph",),
     ("oeis", "--help"),
+    # lines _read_args declines, which argparse reads or refuses
+    ("series", "--order=-1"),
+    ("series", "--order", "+3"),
+    ("series", "--order", "3", "--order", "4"),
+    ("series", "--order", "5" * 5000),
+    ("series", "--order", "\u0663"),
+    ("series", "--u="),
+    ("series", "sym"),
+    ("count", "--n", "4", "--unbounded=1"),
+    ("paths", "--n", "3", "--count-only", "--list"),
+    ("bargraph", "--columns", ""),
 ])
 def test_main_answers_as_the_whole_parser_does(capsys, argv):
-    # main builds only the named command's parser; what it prints, help and
-    # errors alike, is what parsing with the whole parser prints
+    # none of these is read by _read_args; main builds only the named
+    # command's parser, and what it prints, help and errors alike, is what
+    # parsing with the whole parser prints
+    if argv and argv[0] in cli._COMMANDS:
+        assert cli._read_args(argv[0], argv[1:]) is None
     try:
         args = cli.build_parser().parse_args(argv)
     except SystemExit as exc:
         rc = int(exc.code or 0)
     else:
-        rc = args.func(args)
+        try:
+            rc = args.func(args)
+        except ValueError as exc:  # refused past the parser, as main does
+            print(f"error: {exc}", file=sys.stderr)
+            rc = 2
     captured = capsys.readouterr()
     assert run(capsys, *argv) == (rc, captured.out, captured.err)
+
+
+# values for any option: numbers, forms int() or argparse treat apart, and
+# the values of bargraph and oeis
+_VALUES = [
+    "0", "3", "12", "0012", "-1", "+5", "\u0663", "", "5" * 5000,
+    "sym", "1/2", "-1/2", "x", "-h", "--", "1,2", "UUDD", "A001006",
+]
+
+
+@st.composite
+def command_lines(draw):
+    # a line of the command's options as argparse declares them, each at
+    # most once and the required ones always, with a value that fits; into
+    # it go up to two noisy parts: any option, -h included, or its
+    # abbreviation, as --opt value, --opt=value, a bare --opt or a stray
+    # value, with a value from its choices or _VALUES
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    actions = cli._parser(command)._actions
+    parts = []
+    for action in actions:
+        if action.dest == "help" or not (action.required or draw(st.booleans())):
+            continue
+        flag = action.option_strings[0]
+        fitting = action.choices or (
+            ["0", "3", "0012"] if action.type is int
+            else ["sym", "1/2", "UUDD", "1,2", "A001006"]
+        )
+        value = draw(st.sampled_from(list(fitting)))
+        parts.append(draw(st.sampled_from(
+            [[flag]] if action.nargs == 0 else [[flag, value], [f"{flag}={value}"]]
+        )))
+    parts = draw(st.permutations(parts))
+    for _ in range(draw(st.integers(0, 2))):
+        action = draw(st.sampled_from(actions))
+        flag = draw(st.sampled_from(action.option_strings))
+        name = draw(st.sampled_from([flag, flag[:-1]] if len(flag) > 3 else [flag]))
+        value = draw(st.sampled_from(list(action.choices or ()) + _VALUES))
+        noise = draw(st.sampled_from([[name, value], [f"{name}={value}"], [name], [value]]))
+        parts.insert(draw(st.integers(0, len(parts))), noise)
+    return command, [token for part in parts for token in part]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(command_lines())
+@example(("series", ["--variant", "skew", "--order=20", "--u=-1/2", "--format", "json"]))
+@example(("count", ["--n", "0004", "--end-level=0", "--unbounded"]))
+@example(("paths", ["--class", "peakless", "--n", "3", "--count-only"]))
+@example(("bargraph", ["--columns=1,2"]))
+@example(("check", ["--max-n", "4"]))
+@example(("oeis", ["--terms", "6", "--id", "A001006", "--fetch"]))
+@example(("series", ["--u=--"]))  # argparse reads the value as []
+@example(("bargraph", ["--columns="]))
+def test_read_args_is_argparse_where_it_reads(line):
+    # a namespace _read_args gives is the one argparse gives, and a line
+    # argparse refuses or answers with help, _read_args declines
+    command, argv = line
+    read = cli._read_args(command, argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli._parser(command).parse_args(argv)
+        except SystemExit:
+            parsed = None
+    if read is not None:
+        assert parsed is not None and vars(read) == vars(parsed)
+
+
+def test_read_args_reads_each_command_without_argparse():
+    assert cli._read_args("count", ["--n", "4"]).n == 4
+    assert vars(cli._read_args("series", ["--u=-1/2"])) == vars(
+        cli._parser("series").parse_args(["--u=-1/2"])
+    )
+    for command, argv in [("paths", ["--n", "3", "--list"]),
+                          ("bargraph", ["--path", "UUDD"]), ("check", []),
+                          ("oeis", ["--id", "A001006"])]:
+        assert cli._read_args(command, argv).func is getattr(cli, f"cmd_{command}")
 
 
 def test_closed_stdout_exits_one_without_traceback():
@@ -1217,10 +1347,15 @@ def test_main_back_to_back_matches_separate_calls(capsys, monkeypatch):
         separate.append(run(capsys, *argv))
     cli._parser.cache_clear()
     together = [run(capsys, *argv) for argv in calls]
-    # one parser per command named (all six), and the whole one for bogus
-    assert cli._parser.cache_info().misses == 6 + 1
+    # the whole parser for bogus and the series parser for the declined
+    # --order -1; every other line is read without a parser
+    assert cli._parser.cache_info().misses == 1 + 1
     assert [run(capsys, *argv) for argv in calls] == together
-    assert cli._parser.cache_info().misses == 6 + 1
+    assert cli._parser.cache_info().misses == 1 + 1
+    cli._parser.cache_clear()
+    well_formed = [argv for argv in calls if argv not in calls[3:5]]
+    assert [run(capsys, *argv) for argv in well_formed] == together[:3] + together[5:]
+    assert cli._parser.cache_info().misses == 0
     assert together == separate
     assert [rc for rc, _, _ in together] == [0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]
     # --order and --u set in the first call are back to their defaults

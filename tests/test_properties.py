@@ -164,10 +164,27 @@ def _meander(alphabet, choices):
     return "".join(out)
 
 
+def _spliced(choices, cut, factor):
+    # a skew meander with LU or UL spliced in; at level 0, LU climbs first
+    # and comes back, as UHLUD, so that its L stays at level 0 or above.
+    # Each leaves the level as it was, so the word's only faults are LU
+    # and UL factors
+    text = _meander("UDHL", choices)
+    cut %= len(text) + 1
+    if factor == "LU" and sum({"U": 1, "H": 0}.get(s, -1) for s in text[:cut]) == 0:
+        factor = "UHLUD"
+    return text[:cut] + factor + text[cut:]
+
+
 words = st.text("UDHL", max_size=24) | st.builds(
     _meander,
     st.sampled_from(["UDH", "UDHL"]),
     st.lists(st.integers(0, 3), max_size=24),
+) | st.builds(
+    _spliced,
+    st.lists(st.integers(0, 3), max_size=22),
+    st.integers(0, 22),
+    st.sampled_from(["LU", "UL"]),
 )
 
 
