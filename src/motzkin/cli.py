@@ -468,10 +468,12 @@ def cmd_paths(args: argparse.Namespace) -> int:
     if args.count_only:
         print(f"({sum(1 for _ in words)})")
         return OK
-    texts = sorted(map(str, words))
-    for text in texts:
-        print(text)
-    print(f"({len(texts)})")
+    # the search yields the words in sorted order, so each is printed as it
+    # comes and none is kept
+    count = 0
+    for count, word in enumerate(words, 1):
+        print(word)
+    print(f"({count})")
     return OK
 
 
@@ -842,6 +844,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args, extra = _parser(command).parse_known_args(argv[1:])
                 if extra:
                     _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+                # argparse reads --opt=-- as an empty list, and no option
+                # takes a list
+                for flag, option in _spec(command).options.items():
+                    if isinstance(getattr(args, option.dest), list):
+                        _parser(command).error(f"argument {flag}: expected one argument")
             else:
                 args = _parser().parse_args(argv)
         except SystemExit as exc:

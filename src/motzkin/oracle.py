@@ -98,13 +98,15 @@ def _successors(
     variant: Variant, forbid_ud: bool, forbid_du: bool
 ) -> dict[str, tuple[tuple[str, int], ...]]:
     """The letters that may follow each last letter ("" before the first),
-    with their level changes, in U < D < H < L order.
+    with their level changes, in D < H < L < U order: the order of the
+    letters as text, so a search that tries them in turn finds the words
+    sorted.
 
     These are the adjacency rules: L only in the skew variant and never next
     to U, and no UD / DU factor when that filter is on.  Whether the level
     stays nonnegative is left to the search.
     """
-    alphabet = "UDHL" if variant is Variant.SKEW else "UDH"
+    alphabet = "DHLU" if variant is Variant.SKEW else "DHU"
     forbidden = {"UL", "LU"}
     if forbid_ud:
         forbidden.add("UD")
@@ -129,7 +131,8 @@ def enumerate_paths(
     excursions_only: bool = False,
     allow_large: bool = False,
 ) -> Iterator[PathWord]:
-    """Yield every valid word of length exactly n, in U < D < H < L order.
+    """Yield every valid word of length exactly n, in D < H < L < U order,
+    which is the order sorted() puts their texts in.
 
     The optional filters prune during the search with the same word-level
     rules used everywhere else in this module: forbid_ud / forbid_du drop

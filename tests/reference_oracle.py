@@ -8,14 +8,15 @@ argument checks are left to the library.
 
 from motzkin.paths import Bargraph, PathWord, Step, Variant
 
-_PLAIN_STEPS = (Step.U, Step.D, Step.H)
-_SKEW_STEPS = (Step.U, Step.D, Step.H, Step.L)
+_PLAIN_STEPS = (Step.D, Step.H, Step.U)
+_SKEW_STEPS = (Step.D, Step.H, Step.L, Step.U)
 
 
 def enumerate_paths(
     n, variant, *, forbid_ud=False, forbid_du=False, excursions_only=False
 ):
-    """Every valid word of length n, in U < D < H < L order."""
+    """Every valid word of length n, in D < H < L < U order, the order of
+    the letters as text."""
     alphabet = _PLAIN_STEPS if variant is Variant.PLAIN else _SKEW_STEPS
     skew = variant is Variant.SKEW
     prefix = []

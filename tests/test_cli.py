@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,10 +24,11 @@ from motzkin.cli import (
     anchors_for,
     main,
 )
-from motzkin.automata import dp_count
+from motzkin.automata import dp_count, dp_series
 from motzkin.oracle import CountTable
 from motzkin.paths import Variant
 from motzkin.series import Poly, Series, closed_form
+import reference_oracle
 from reference_output import series_json_text, series_text
 
 MOTZKIN_12 = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798]
@@ -489,6 +491,55 @@ def test_series_rejects_bad_value(capsys):
     assert "error" in err
 
 
+# lines over both formats and both engines, with u, sigma and tau symbolic
+# and at values
+_SERIES_LINES = [
+    ("series", "--order", "9"),
+    ("series", "--variant", "skew", "--order", "8", "--format", "json"),
+    ("series", "--variant", "skew", "--order", "9", "--engine", "dp"),
+    ("series", "--order", "8", "--engine", "dp", "--format", "json"),
+    ("series", "--order", "8", "--u=1/2", "--sigma=-1"),
+    ("series", "--variant", "skew", "--order", "7", "--u=-1", "--tau=1/2",
+     "--format", "json"),
+    ("series", "--order", "9", "--engine", "dp", "--sigma", "3/2", "--tau=-1"),
+    ("series", "--variant", "skew", "--order", "8", "--engine", "dp",
+     "--u", "1/2", "--format", "json"),
+]
+
+
+def test_a_repeated_series_request_prints_the_same_bytes(capsys):
+    # a repeat is answered from the cached series and the text it kept; it
+    # prints what the first request printed, and what a fresh process prints
+    closed_form.cache_clear()
+    dp_series.cache_clear()
+    first = [run(capsys, *argv) for argv in _SERIES_LINES]
+    again = [run(capsys, *argv) for argv in _SERIES_LINES]
+    assert again == first
+    assert all(rc == 0 and out and err == "" for rc, out, err in first)
+    src = str(Path(motzkin.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import motzkin.cli\n" + "".join(
+        f"motzkin.cli.main({list(argv)!r})\n" for argv in _SERIES_LINES
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, timeout=60, check=True
+    )
+    assert proc.stdout == "".join(out for _, out, _ in first).encode()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_bounded_request_after_an_unbounded_one_prints_the_same(capsys, fmt):
+    # both read one cached series, so the bounded request gets the text kept
+    # from the unbounded one, written with the digit limit lifted
+    argv = ("series", "--variant", "skew", "--order", "12", "--u=1/2",
+            "--tau", "3", "--format", fmt)
+    closed_form.cache_clear()
+    unbounded = run(capsys, *argv, "--unbounded")
+    bounded = run(capsys, *argv)
+    closed_form.cache_clear()
+    assert unbounded == bounded == run(capsys, *argv)
+    assert bounded[0] == 0 and bounded[2] == ""
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -554,6 +605,46 @@ def test_paths_length_bound(capsys):
     rc, _, err = run(capsys, "paths", "--n", "21")
     assert rc == 2
     assert "--unbounded" in err
+
+
+@pytest.mark.parametrize("variant", ["plain", "skew"])
+@pytest.mark.parametrize("path_class", sorted(cli._CLASS_FILTERS))
+def test_paths_lists_the_sorted_words(capsys, variant, path_class):
+    # the listing is the words' texts in sorted() order, then their count
+    filters = cli._CLASS_FILTERS[path_class]
+    for n in range(11):
+        words = sorted(
+            str(w)
+            for w in reference_oracle.enumerate_paths(n, Variant(variant), **filters)
+        )
+        want = "".join(w + "\n" for w in words) + f"({len(words)})\n"
+        argv = ("paths", "--variant", variant, "--class", path_class, "--n", str(n))
+        assert run(capsys, *argv) == (0, want, "")
+
+
+def test_paths_listing_keeps_no_word():
+    # each word is printed as the search yields it: listing the 143 365
+    # plain meanders of length 12 holds far less than the list of their texts
+    class Sink:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            rc = main(["paths", "--n", "12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = 143_365
+    assert (rc, sink.lines) == (0, words + 1)
+    assert peak < words * sys.getsizeof("U" * 12) // 100
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +786,8 @@ def _check_output(capsys, *argv):
 
 
 @pytest.mark.parametrize("letters, line", [
-    # "UHD" is the fourth cornerless excursion, after "", "H" and "HH"
-    ("UHD", "bijection-round-trip (n <= 4): 4 compared: FAIL "
+    # "UHD" is the fifth cornerless excursion, after "", "H", "HH" and "HHH"
+    ("UHD", "bijection-round-trip (n <= 4): 5 compared: FAIL "
             "(word 'UHD' round-trips to 'H')"),
     # "UUHDD" (the column 3) is longer than 4, so only the bargraph side
     # meets it: after the 9 words, it is the last of the 8 bargraphs of
@@ -1173,6 +1264,29 @@ def test_oeis_help_documents_label_caveat(capsys):
     rc, out, _ = run(capsys, "oeis", "--help")
     assert rc == 0
     assert "valleys" in out and "peaks" in out
+
+
+# a value each command's required options take
+_REQUIRED = {"count": ("--n", "3"), "paths": ("--n", "3"), "oeis": ("--id", "A001006")}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in cli._COMMANDS for flag in cli._spec(command).options
+])
+def test_an_option_given_as_equals_dashes_is_a_usage_error(capsys, command, flag):
+    # argparse reads --opt=-- as an empty list; main refuses it as argparse
+    # refuses --opt with no value, before the command runs
+    rest = _REQUIRED.get(command, ())
+    if rest[:1] == (flag,):
+        rest = ()
+    rc, out, err = run(capsys, command, *rest, f"{flag}=--")
+    assert (rc, out) == (2, "")
+    assert "Traceback" not in err
+    if cli._spec(command).options[flag].switch:
+        assert err.endswith("ignored explicit argument '--'\n")
+    else:
+        assert err.endswith(f"error: argument {flag}: expected one argument\n")
+        assert (rc, out, err) == run(capsys, command, *rest, flag)
 
 
 def test_command_parser_helps_as_the_whole_parser_does():

@@ -52,11 +52,12 @@ def test_enumerate_plain_n2():
 
 
 def test_enumerate_plain_n3_order():
-    """Generation order is lexicographic on U < D < H."""
+    """Generation order is lexicographic on D < H < U, the order of the
+    letters as text."""
     words = [str(w) for w in enumerate_paths(3, Variant.PLAIN)]
     assert words == [
-        "UUU", "UUD", "UUH", "UDU", "UDH", "UHU", "UHD", "UHH",
-        "HUU", "HUD", "HUH", "HHU", "HHH",
+        "HHH", "HHU", "HUD", "HUH", "HUU", "UDH", "UDU", "UHD",
+        "UHH", "UHU", "UUD", "UUH", "UUU",
     ]
 
 

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,36 @@ def test_emitters_match_the_reference_builders(name):
     assert s.to_json() == series_json(s)
     for p in s.coefficients():
         assert str(p) == poly_text(p)
+
+
+@pytest.mark.parametrize("name", sorted(EMITTER_CASES))
+def test_writers_keep_their_text(name):
+    # a series is never changed once built, so each writer builds its text
+    # once and hands back the same string on every later call
+    s = EMITTER_CASES[name]
+    assert s.to_text() is s.to_text()
+    assert str(s) is s.to_text()
+    assert s.to_json_text() is s.to_json_text()
+
+
+def test_a_writer_that_raises_keeps_nothing():
+    # 10^5000 has more digits than Python turns into text by default, so
+    # both writers raise, every time; with the limit lifted they write the
+    # whole text, and from then on hand it back whatever the limit
+    s = Series.from_terms(1, [(1, 0, 0, 0, 10**5000)])
+    for write in (s.to_text, s.to_json_text) * 2:
+        with pytest.raises(ValueError):
+            write()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text, json_text = s.to_text(), s.to_json_text()
+        want = series_text(s), series_json_text(s)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (text, json_text) == want
+    assert text == "z^0: 0\nz^1: 1" + "0" * 5000
+    assert s.to_text() is text and s.to_json_text() is json_text
 
 
 # ---------------------------------------------------------------------------
