@@ -27,6 +27,8 @@ from .oracle import (
     CountTable,
     count_table,
     enumerate_bargraphs,
+    enumerate_columns,
+    enumerate_letters,
     enumerate_paths,
 )
 from .automata import (
@@ -70,6 +72,8 @@ __all__ = [
     "dp_series",
     "elevate",
     "enumerate_bargraphs",
+    "enumerate_columns",
+    "enumerate_letters",
     "enumerate_paths",
     "from_bargraph",
     "is_cornerless",

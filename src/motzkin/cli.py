@@ -22,8 +22,8 @@ from .oracle import (
     MAX_PATH_LEN,
     MAX_SEMIPERIMETER,
     count_table,
-    enumerate_bargraphs,
-    enumerate_paths,
+    enumerate_columns,
+    enumerate_letters,
 )
 from .paths import (
     Bargraph,
@@ -255,34 +255,36 @@ def check_bijection_roundtrip(max_len: int) -> CheckResult:
     """Round-trip every cornerless excursion (and, inversely, every small
     bargraph) through the bijection.
 
-    The round trip runs on the letters and the columns, through the walk and
-    the writer that ``to_bargraph`` and ``from_bargraph`` wrap."""
+    The oracle's searches hand the round trip letters and columns, which go
+    through the walk and the writer that ``to_bargraph`` and
+    ``from_bargraph`` wrap."""
     name = f"bijection-round-trip (n <= {max_len})"
     words = 0
     for n in range(max_len + 1):
-        for word in enumerate_paths(
+        for letters in enumerate_letters(
             n, Variant.PLAIN,
             forbid_ud=True, forbid_du=True, excursions_only=True,
         ):
             words += 1
-            columns = letters_to_columns(word.letters)
+            columns = letters_to_columns(letters)
             # the empty word's image is the empty bargraph, which has no
             # preimage of its own
             back = columns_to_letters(columns) if columns else ""
-            if back != word.letters:
+            if back != letters:
                 return CheckResult(
                     name, False, words,
-                    f"word {str(word)!r} round-trips to {back!r}",
+                    f"word {letters!r} round-trips to {back!r}",
                 )
     graphs = 0
     for s in range(2, min(max_len, MAX_SEMIPERIMETER) + 1):
-        for graph in enumerate_bargraphs(s):
+        for columns in enumerate_columns(s):
             graphs += 1
-            back = letters_to_columns(columns_to_letters(graph.columns))
-            if back != graph.columns:
+            back = letters_to_columns(columns_to_letters(columns))
+            if back != columns:
                 return CheckResult(
                     name, False, words + graphs,
-                    f"bargraph {graph} round-trips to {','.join(map(str, back))}",
+                    f"bargraph {','.join(map(str, columns))} round-trips to "
+                    f"{','.join(map(str, back))}",
                 )
     return CheckResult(
         name, True, words + graphs, f"{words} words, {graphs} bargraphs"
@@ -464,15 +466,15 @@ def cmd_paths(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
     _check_length_bound(args.n, MAX_PATH_LEN, args.unbounded)
     filters = _CLASS_FILTERS[args.path_class]
-    words = enumerate_paths(args.n, variant, allow_large=args.unbounded, **filters)
+    words = enumerate_letters(args.n, variant, allow_large=args.unbounded, **filters)
     if args.count_only:
         print(f"({sum(1 for _ in words)})")
         return OK
-    # the search yields the words in sorted order, so each is printed as it
-    # comes and none is kept
+    # the search yields the words' letters in sorted order, so each is
+    # printed as it comes and none is kept
     count = 0
-    for count, word in enumerate(words, 1):
-        print(word)
+    for count, letters in enumerate(words, 1):
+        print(letters)
     print(f"({count})")
     return OK
 

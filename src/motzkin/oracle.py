@@ -122,6 +122,28 @@ def _successors(
     }
 
 
+def enumerate_letters(
+    n: int,
+    variant: Variant,
+    *,
+    forbid_ud: bool = False,
+    forbid_du: bool = False,
+    excursions_only: bool = False,
+    allow_large: bool = False,
+) -> Iterator[str]:
+    """Yield the letters of every valid word of length exactly n, in
+    D < H < L < U order, which is the order sorted() puts them in.
+
+    The optional filters prune during the search with the same word-level
+    rules used everywhere else in this module: forbid_ud / forbid_du drop
+    words containing a UD / DU factor, excursions_only keeps only words
+    ending at level 0.  The bounds are checked at the call, before the
+    first word.
+    """
+    _check_length(n, allow_large)
+    return _walk(n, _successors(variant, forbid_ud, forbid_du), excursions_only)
+
+
 def enumerate_paths(
     n: int,
     variant: Variant,
@@ -131,26 +153,19 @@ def enumerate_paths(
     excursions_only: bool = False,
     allow_large: bool = False,
 ) -> Iterator[PathWord]:
-    """Yield every valid word of length exactly n, in D < H < L < U order,
-    which is the order sorted() puts their texts in.
-
-    The optional filters prune during the search with the same word-level
-    rules used everywhere else in this module: forbid_ud / forbid_du drop
-    words containing a UD / DU factor, excursions_only keeps only words
-    ending at level 0.
-    """
-    _check_length(n, allow_large)
-    return _walk(n, _successors(variant, forbid_ud, forbid_du), excursions_only)
+    """The words of ``enumerate_letters``, in its order, as PathWords."""
+    return map(PathWord, enumerate_letters(
+        n, variant, forbid_ud=forbid_ud, forbid_du=forbid_du,
+        excursions_only=excursions_only, allow_large=allow_large,
+    ))
 
 
-def _walk(
-    n: int, successors: dict, excursions_only: bool
-) -> Iterator[PathWord]:
+def _walk(n: int, successors: dict, excursions_only: bool) -> Iterator[str]:
     # One depth-first search on an explicit stack of pending prefixes, each
     # with its level.  Children are pushed in reverse so they pop in order;
     # the words themselves are yielded by their parent.
     if n == 0:
-        yield PathWord("")
+        yield ""
         return
     stack: list[tuple[str, int]] = [("", 0)]
     pop = stack.pop
@@ -163,7 +178,7 @@ def _walk(
         if depth == n - 1:
             for step, delta in successors[prefix[-1:]]:
                 if 0 <= level + delta <= top:
-                    yield PathWord(prefix + step)
+                    yield prefix + step
         else:
             for step, delta in reversed(successors[prefix[-1:]]):
                 if 0 <= level + delta <= top:
@@ -230,15 +245,17 @@ def count_table(
     return CountTable(variant, n_max, entries)
 
 
-def enumerate_bargraphs(
+def enumerate_columns(
     semiperimeter: int, *, allow_large: bool = False
-) -> Iterator[Bargraph]:
-    """Yield every bargraph of the given semiperimeter, each exactly once.
+) -> Iterator[tuple[int, ...]]:
+    """Yield the columns of every bargraph of the given semiperimeter, each
+    exactly once.
 
     Columns are grown left to right; appending a column of height h after one
     of height g costs 1 + max(0, h - g) toward the semiperimeter (the first
     column costs 1 + h), which makes the search prune itself.  Output order
-    is lexicographic on the column sequence.
+    is lexicographic on the column sequence.  The bounds are checked at the
+    call, before the first bargraph.
     """
     if semiperimeter < 1:
         raise ValueError("semiperimeter must be positive")
@@ -251,24 +268,30 @@ def enumerate_bargraphs(
     return _grow(semiperimeter)
 
 
-def _grow(semiperimeter: int) -> Iterator[Bargraph]:
+def enumerate_bargraphs(
+    semiperimeter: int, *, allow_large: bool = False
+) -> Iterator[Bargraph]:
+    """The bargraphs of ``enumerate_columns``, in its order.  Every height
+    it yields is >= 1, so the bargraphs skip the height check."""
+    return map(Bargraph._of, enumerate_columns(semiperimeter, allow_large=allow_large))
+
+
+def _grow(semiperimeter: int) -> Iterator[tuple[int, ...]]:
     # One depth-first search on an explicit stack of pending column
     # prefixes, each with the semiperimeter it uses and its last height.
     # Heights stop at last + semiperimeter - used - 1, whose cost uses up
-    # the rest exactly, so no child overshoots.  Every height is >= 1, so
-    # the bargraphs skip the height check.
-    of = Bargraph._of
+    # the rest exactly, so no child overshoots.
     stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     pop = stack.pop
     push = stack.append
     while stack:
         columns, used, last = pop()
         if used == semiperimeter:
-            yield of(columns)
+            yield columns
         elif used == semiperimeter - 1:
             # only columns no higher than the last one fit
             for h in range(1, last + 1):
-                yield of(columns + (h,))
+                yield columns + (h,)
         else:
             for h in range(last + semiperimeter - used - 1, 0, -1):
                 push((columns + (h,), used + 1 + max(0, h - last), h))

@@ -26,7 +26,7 @@ from motzkin.cli import (
 )
 from motzkin.automata import dp_count, dp_series
 from motzkin.oracle import CountTable
-from motzkin.paths import Variant
+from motzkin.paths import Bargraph, PathWord, Variant
 from motzkin.series import Poly, Series, closed_form
 import reference_oracle
 from reference_output import series_json_text, series_text
@@ -645,6 +645,56 @@ def test_paths_listing_keeps_no_word():
     words = 143_365
     assert (rc, sink.lines) == (0, words + 1)
     assert peak < words * sys.getsizeof("U" * 12) // 100
+
+
+def test_paths_count_only_keeps_no_word():
+    # the count reads the search's letters one by one: counting the
+    # 1 201 917 plain meanders of length 14 holds far less than their texts
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = main(["paths", "--n", "14", "--count-only"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = 1_201_917
+    assert (rc, out.getvalue()) == (0, f"({words})\n")
+    assert peak < words * sys.getsizeof("U" * 14) // 100
+
+
+@pytest.fixture
+def no_words_or_bargraphs(monkeypatch):
+    """Make building a PathWord or a Bargraph raise."""
+    def built(*args):
+        raise AssertionError("a PathWord or a Bargraph was built")
+
+    monkeypatch.setattr(PathWord, "__init__", built)
+    monkeypatch.setattr(Bargraph, "__init__", built)
+    monkeypatch.setattr(Bargraph, "_of", staticmethod(built))
+    # the patch bites on the wrapped searches
+    with pytest.raises(AssertionError):
+        next(motzkin.enumerate_paths(0, Variant.PLAIN))
+    with pytest.raises(AssertionError):
+        next(motzkin.enumerate_bargraphs(2))
+
+
+def test_check_builds_no_word_or_bargraph(capsys, no_words_or_bargraphs):
+    # the round trip gets letters and columns from the oracle's searches
+    rc, out, err = run(capsys, "check", "--variant", "plain", "--max-n", "8")
+    assert (rc, err) == (0, "")
+    assert out.count(": PASS") == 3
+    assert "bijection-round-trip (n <= 8)" in out
+
+
+@pytest.mark.parametrize("variant", ["plain", "skew"])
+@pytest.mark.parametrize("path_class", sorted(cli._CLASS_FILTERS))
+def test_paths_builds_no_word(capsys, no_words_or_bargraphs, variant, path_class):
+    argv = ("paths", "--variant", variant, "--class", path_class, "--n", "8")
+    rc, out, err = run(capsys, *argv, "--count-only")
+    assert (rc, err) == (0, "")
+    rc, listing, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert listing.endswith(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from motzkin.oracle import (
     CountTable,
     count_table,
     enumerate_bargraphs,
+    enumerate_columns,
+    enumerate_letters,
     enumerate_paths,
 )
-from motzkin.paths import PathClass, Variant, classify, pattern_stats
+from motzkin.paths import Bargraph, PathClass, PathWord, Variant, classify, pattern_stats
 import reference_oracle
 
 MEANDER_TOTALS = {
@@ -107,6 +109,62 @@ def test_enumeration_order_is_the_reference_order():
                     for w in reference_oracle.enumerate_paths(n, variant, **filters)
                 ]
                 assert got == want, (variant, filters, n)
+
+
+def test_letters_are_the_words_letters_in_order():
+    # enumerate_paths wraps the one search; the raw search yields the same
+    # words, in the same order, as plain strings
+    for variant in Variant:
+        for filters in FILTERS:
+            for n in range(11):
+                letters = list(enumerate_letters(n, variant, **filters))
+                words = list(enumerate_paths(n, variant, **filters))
+                assert all(type(w) is PathWord for w in words)
+                assert all(type(x) is str for x in letters)
+                assert letters == [w.letters for w in words], (variant, filters, n)
+
+
+def test_columns_are_the_bargraphs_columns_in_order():
+    for s in range(1, MAX_SEMIPERIMETER + 1):
+        columns = list(enumerate_columns(s))
+        graphs = list(enumerate_bargraphs(s))
+        assert all(type(b) is Bargraph for b in graphs)
+        assert all(type(c) is tuple for c in columns)
+        assert columns == [b.columns for b in graphs], s
+
+
+@pytest.mark.parametrize("search, args", [
+    (enumerate_letters, (MAX_PATH_LEN + 1, Variant.PLAIN)),
+    (enumerate_letters, (-1, Variant.SKEW)),
+    (enumerate_paths, (MAX_PATH_LEN + 1, Variant.SKEW)),
+    (enumerate_paths, (-1, Variant.PLAIN)),
+    (enumerate_columns, (0,)),
+    (enumerate_columns, (MAX_SEMIPERIMETER + 1,)),
+    (enumerate_bargraphs, (0,)),
+    (enumerate_bargraphs, (MAX_SEMIPERIMETER + 1,)),
+])
+def test_searches_refuse_their_bounds_at_the_call(search, args):
+    # the error comes from the call itself, before any next(); the escape
+    # hatch lifts only the upper bound
+    with pytest.raises(ValueError):
+        search(*args)
+    if args[0] > 0:
+        search(*args, allow_large=True)
+    else:
+        with pytest.raises(ValueError):
+            search(*args, allow_large=True)
+
+
+def test_searches_are_lazy():
+    # a search past the bound starts, and yields its first item, at once
+    for search, args in [
+        (enumerate_letters, (40, Variant.SKEW)),
+        (enumerate_paths, (40, Variant.PLAIN)),
+    ]:
+        assert len(str(next(search(*args, allow_large=True)))) == 40
+    # the first bargraph in column order is the row of 39 unit columns
+    for search in (enumerate_columns, enumerate_bargraphs):
+        assert len(next(search(40, allow_large=True))) == 39
 
 
 @pytest.mark.parametrize(
